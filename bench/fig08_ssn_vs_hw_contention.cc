@@ -113,30 +113,27 @@ main(int argc, char **argv)
     // (b) SSN: the identical flows, described by the checked-in
     // scenario document and executed through the scenario runner (a
     // golden test pins the journal to the pre-port hand-built list).
-    Scenario sc;
-    std::string error;
-    if (!loadScenarioFile(scenarioPath, sc, &error)) {
-        std::fprintf(stderr, "scenario: %s\n", error.c_str());
+    const ScenarioRunResult run =
+        runScenarioFile(session, scenarioPath, {seed, {}});
+    if (!run.error.empty()) {
+        std::fprintf(stderr, "%s\n", run.error.c_str());
         return 2;
     }
-    ScenarioOverrides over;
-    over.seed = seed;
-    const ScenarioRunResult run = runScenario(session, sc, over);
-    const auto report = validateSchedule(run.traced.schedule, topo);
+    const auto report = validateSchedule(run.compiled.schedule, topo);
     std::printf("software-scheduled network:\n");
     std::printf("  schedule: %zu vectors, 0 conflicts (%s), makespan "
                 "%.2f us\n",
-                run.traced.schedule.vectors.size(),
+                run.compiled.schedule.vectors.size(),
                 report.ok ? "validated" : "BUG",
-                double(run.makespan) / kCoreFreqHz * 1e6);
+                double(run.compiled.schedule.makespan) / kCoreFreqHz * 1e6);
     std::printf("  arrival-time variance: 0 (every vector lands at its "
                 "precomputed cycle;\n  the simulator panics on any "
                 "deviation)\n\n");
     session.finish();
     std::printf("  executed: %llu flits delivered across %u links, all "
                 "on schedule\n\n",
-                (unsigned long long)run.traced.flitsDelivered,
-                run.traced.links);
+                (unsigned long long)run.flitsDelivered,
+                unsigned(run.compiled.topo.links().size()));
 
     // FEC ablation (§4.5): errors do not perturb timing.
     EventQueue eq2;

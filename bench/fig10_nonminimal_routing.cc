@@ -53,23 +53,18 @@ main(int argc, char **argv)
     if (!cli.parse(argc, argv))
         return 2;
     TraceSession session(std::move(opts));
-    session.setRun("fig10_nonminimal_routing", 0);
 
     // The instrumented timeline is the figure's cross-check transfer —
     // the 64 KB spread across the full mesh's non-minimal paths — as
     // a checked-in scenario document; the speedup tables below stay
     // analytic.
     if (session.active()) {
-        Scenario sc;
-        std::string error;
-        if (!loadScenarioFile(scenarioPath, sc, &error)) {
-            std::fprintf(stderr, "scenario: %s\n", error.c_str());
+        const ScenarioRunResult run =
+            runScenarioFile(session, scenarioPath, {seed, mbe});
+        if (!run.error.empty()) {
+            std::fprintf(stderr, "%s\n", run.error.c_str());
             return 2;
         }
-        ScenarioOverrides over;
-        over.seed = seed;
-        over.mbe = mbe;
-        runScenario(session, sc, over);
     }
 
     std::printf("=== Fig 10: benefit of non-minimal routing vs message "

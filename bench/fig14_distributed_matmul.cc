@@ -45,18 +45,15 @@ main(int argc, char **argv)
     // the traffic the utilization column decays under. The pattern
     // itself lives in the checked-in scenario file.
     if (session.active()) {
-        Scenario sc;
-        std::string error;
-        if (!loadScenarioFile(scenarioPath, sc, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
+        const ScenarioRunResult run =
+            runScenarioFile(session, scenarioPath, {seed, mbe});
+        if (!run.error.empty()) {
+            std::fprintf(stderr, "%s\n", run.error.c_str());
             return 2;
         }
-        ScenarioOverrides over;
-        over.seed = seed;
-        over.mbe = mbe;
-        const ScenarioRunResult run = runScenario(session, sc, over);
         if (ProfileCollector *prof = session.profile())
-            prof->addExtra("reduction_fan_in", double(run.transfers));
+            prof->addExtra("reduction_fan_in",
+                           double(run.compiled.lowered.transfers.size()));
     }
     const TspCostModel cost;
     DistMatmulConfig cfg; // the paper's operation

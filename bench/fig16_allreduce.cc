@@ -7,16 +7,13 @@
  */
 
 #include <cstdio>
-#include <memory>
 
-#include "arch/chip.hh"
 #include "baseline/sharedmem_allreduce.hh"
 #include "collective/allreduce.hh"
 #include "common/cli.hh"
 #include "common/table.hh"
 #include "prof/report.hh"
-#include "runtime/traced_scenario.hh"
-#include "ssn/scheduler.hh"
+#include "runtime/machine.hh"
 #include "trace/session.hh"
 
 using namespace tsm;
@@ -61,9 +58,10 @@ main(int argc, char **argv)
     // all-to-all the stream-register allocator can lower single-hop.
     if (session.active()) {
         constexpr Bytes kTracedBytes = 32 * kKiB;
-        const auto transfers = tsp.reduceScatterTransfers(kTracedBytes, 1, 0);
-        runScheduledScenario(session, node, transfers, "fig16_allreduce",
-                             seed, mbe);
+        const auto compiled = compileTransfers(
+            node, tsp.reduceScatterTransfers(kTracedBytes, 1, 0));
+        Machine(compiled.value(), seed, mbe)
+            .run(session.observers(), "fig16_allreduce", session.hostprof());
         if (ProfileCollector *prof = session.profile())
             prof->addExtra("traced_tensor_bytes", double(kTracedBytes));
     }

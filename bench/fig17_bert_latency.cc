@@ -44,16 +44,12 @@ main(int argc, char **argv)
     // timeline alternate compute-bound and network-bound windows —
     // pipeline bubbles show up as idle regimes.
     if (session.active()) {
-        Scenario sc;
-        std::string error;
-        if (!loadScenarioFile(scenarioPath, sc, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
+        const ScenarioRunResult run =
+            runScenarioFile(session, scenarioPath, {seed, mbe});
+        if (!run.error.empty()) {
+            std::fprintf(stderr, "%s\n", run.error.c_str());
             return 2;
         }
-        ScenarioOverrides over;
-        over.seed = seed;
-        over.mbe = mbe;
-        runScenario(session, sc, over);
         if (ProfileCollector *prof = session.profile())
             prof->addExtra("pipeline_stages", 4.0);
     }

@@ -43,21 +43,18 @@ main(int argc, char **argv)
     // dragonfly, over a nearest-neighbor background — pipeline
     // parallelism where each stage boundary crosses a C2C link.
     if (session.active()) {
-        Scenario sc;
-        std::string error;
-        if (!loadScenarioFile(scenarioPath, sc, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
+        const ScenarioRunResult run =
+            runScenarioFile(session, scenarioPath, {seed, mbe});
+        if (!run.error.empty()) {
+            std::fprintf(stderr, "%s\n", run.error.c_str());
             return 2;
         }
-        ScenarioOverrides over;
-        over.seed = seed;
-        over.mbe = mbe;
-        const ScenarioRunResult run = runScenario(session, sc, over);
         std::printf("traced scenario: %zu transfers (%zu background) on "
                     "%u links, makespan %llu cycles\n\n",
-                    run.transfers, run.backgroundTransfers,
-                    run.traced.links,
-                    (unsigned long long)run.makespan);
+                    run.compiled.lowered.transfers.size(),
+                    run.compiled.lowered.backgroundTransfers(),
+                    unsigned(run.compiled.topo.links().size()),
+                    (unsigned long long)run.compiled.schedule.makespan);
     }
 
     std::printf("=== Fig 18: BERT encoder scaling (6/24/48/96 encoders "

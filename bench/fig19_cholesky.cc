@@ -46,16 +46,12 @@ main(int argc, char **argv)
     // by owner-compute gaps — the serial fraction §5.5 blames for the
     // saturating speedups.
     if (session.active()) {
-        Scenario sc;
-        std::string error;
-        if (!loadScenarioFile(scenarioPath, sc, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
+        const ScenarioRunResult run =
+            runScenarioFile(session, scenarioPath, {seed, mbe});
+        if (!run.error.empty()) {
+            std::fprintf(stderr, "%s\n", run.error.c_str());
             return 2;
         }
-        ScenarioOverrides over;
-        over.seed = seed;
-        over.mbe = mbe;
-        runScenario(session, sc, over);
         if (ProfileCollector *prof = session.profile())
             prof->addExtra("broadcast_rounds", 3.0);
     }

@@ -14,7 +14,7 @@
 #include "arch/chip.hh"
 #include "common/cli.hh"
 #include "net/network.hh"
-#include "runtime/traced_scenario.hh"
+#include "runtime/machine.hh"
 #include "ssn/scheduler.hh"
 #include "trace/session.hh"
 
@@ -116,9 +116,8 @@ BENCHMARK(BM_ChipInstructionRate);
  * same-seed journals diverge for the tsm_diverge walkthrough.
  */
 int
-runTracedScenario(const TraceOptions &opts, std::uint64_t seed, double mbe)
+runTracedScenario(TraceSession &session, std::uint64_t seed, double mbe)
 {
-    TraceSession session(opts);
     const Topology topo = Topology::makeNode();
 
     std::vector<TensorTransfer> transfers;
@@ -130,10 +129,12 @@ runTracedScenario(const TraceOptions &opts, std::uint64_t seed, double mbe)
         t.vectors = 32;
         transfers.push_back(t);
     }
-    const auto result = runScheduledScenario(session, topo, transfers,
-                                             "micro_harness", seed, mbe);
+    const auto compiled = compileTransfers(topo, transfers);
+    Machine machine(compiled.value(), seed, mbe);
+    machine.run(session.observers(), "micro_harness", session.hostprof());
     std::printf("traced scenario: %llu vectors delivered over %u links\n",
-                (unsigned long long)result.flitsDelivered, result.links);
+                (unsigned long long)machine.net().totalFlits(),
+                unsigned(topo.links().size()));
     session.finish();
     return 0;
 }
@@ -158,7 +159,8 @@ main(int argc, char **argv)
     cli.allowPrefix("--v=");
     if (!cli.parse(argc, argv))
         return 2;
-    if (!opts.instrumented()) {
+    tsm::TraceSession session(std::move(opts));
+    if (!session.active()) {
         benchmark::Initialize(&argc, argv);
         if (benchmark::ReportUnrecognizedArguments(argc, argv))
             return 1;
@@ -166,5 +168,5 @@ main(int argc, char **argv)
         benchmark::Shutdown();
         return 0;
     }
-    return tsm::runTracedScenario(opts, seed, mbe);
+    return tsm::runTracedScenario(session, seed, mbe);
 }

@@ -10,13 +10,13 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "baseline/hw_router.hh"
 #include "common/cli.hh"
 #include "common/table.hh"
 #include "scenario/scenario.hh"
-#include "ssn/scheduler.hh"
 #include "trace/session.hh"
 #include "workload/traffic_gen.hh"
 
@@ -39,14 +39,17 @@ sweep(TraceSession &session, const std::string &dir, const char *prefix,
             std::fprintf(stderr, "%s\n", error.c_str());
             return false;
         }
-        const Topology topo = sc.topology.build();
-        const auto lowered = lowerScenario(sc, topo);
-        const auto &transfers = lowered.transfers;
+        const std::optional<CompiledScenario> compiled =
+            compileScenario(sc, &error);
+        if (!compiled) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return false;
+        }
+        const Topology &topo = compiled->topo;
+        const auto &transfers = compiled->lowered.transfers;
+        const NetworkSchedule &sched = compiled->schedule;
         if (!sc.patterns.empty())
             vectors = sc.patterns.front().vectors;
-
-        SsnScheduler scheduler(topo, sc.ssn);
-        const auto sched = scheduler.schedule(transfers);
 
         EventQueue eq;
         eq.setHostProfiler(session.hostprof());

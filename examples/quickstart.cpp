@@ -10,12 +10,8 @@
 
 #include <cstdio>
 
-#include "arch/chip.hh"
 #include "common/cli.hh"
-#include "common/table.hh"
-#include "prof/report.hh"
-#include "ssn/schedule_trace.hh"
-#include "ssn/scheduler.hh"
+#include "runtime/machine.hh"
 #include "trace/session.hh"
 
 using namespace tsm;
@@ -34,13 +30,6 @@ main(int argc, char **argv)
     const Topology topo = Topology::makeNode();
     std::printf("machine: %s\n", topo.describe().c_str());
 
-    EventQueue eq;
-    session.attach(eq.tracer());
-    Network net(topo, eq, Rng(42));
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-
     // 2. The work: move a 64 KiB tensor (205 vectors) from TSP 2 to
     //    TSP 5, starting at cycle 100.
     TensorTransfer transfer;
@@ -52,13 +41,13 @@ main(int argc, char **argv)
 
     // 3. Compile: the SSN scheduler resolves every serialization
     //    window on every link at compile time — "scheduled, not
-    //    routed". Large tensors spread over non-minimal paths.
-    SsnScheduler scheduler(topo);
-    const NetworkSchedule schedule = scheduler.schedule({transfer});
-    session.setRun("quickstart", 42);
-    if (ProfileCollector *prof = session.profile())
-        prof->setSchedule(schedule, topo, {transfer});
-    traceSchedule(eq.tracer(), schedule);
+    //    routed". Large tensors spread over non-minimal paths. The
+    //    schedule is then lowered to per-chip programs (Send/Recv
+    //    with absolute issue cycles) depositing at address 0.
+    std::unordered_map<FlowId, LocalAddr> dst;
+    dst[1] = LocalAddr::unflatten(0);
+    const auto compiled = compileTransfers(topo, {transfer}, {}, nullptr, dst);
+    const NetworkSchedule &schedule = compiled.value().schedule;
     const auto &flow = schedule.flows.at(1);
     std::printf("scheduled %u vectors over %u paths; "
                 "injection at cycle %llu, last arrival at cycle %llu\n",
@@ -71,26 +60,18 @@ main(int argc, char **argv)
                 report.ok ? "OK" : report.firstViolation.c_str(),
                 (unsigned long long)report.windowsChecked);
 
-    // 4. Lower to per-chip programs (Send/Recv with absolute issue
-    //    cycles) and execute on the cycle-level simulator.
-    std::unordered_map<FlowId, LocalAddr> dst;
-    dst[1] = LocalAddr::unflatten(0);
-    ProgramSet programs = buildPrograms(schedule, topo, dst);
-    chips[2]->setStream(0, makeVec(Vec(3.14f)));
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
+    // 4. Execute on the cycle-level simulator.
+    Machine machine(*compiled, 42);
+    machine.chip(2).setStream(0, makeVec(Vec(3.14f)));
+    machine.run(session.observers(), "quickstart", session.hostprof());
 
     // 5. Verify: data landed, exactly when promised. Had any vector
     //    missed its window the chip model would have panicked.
+    TspChip &receiver = machine.chip(5);
     unsigned present = 0;
     for (std::uint32_t s = 0; s < transfer.vectors; ++s)
-        present += chips[5]->mem().present(LocalAddr::unflatten(s));
-    const Cycle halt =
-        chips[5]->clock().tickToCycle(chips[5]->stats().haltTick);
+        present += receiver.mem().present(LocalAddr::unflatten(s));
+    const Cycle halt = receiver.clock().tickToCycle(receiver.stats().haltTick);
     std::printf("destination holds %u/%u vectors; receiver halted at "
                 "cycle %llu (schedule makespan %llu)\n",
                 present, transfer.vectors, (unsigned long long)halt,

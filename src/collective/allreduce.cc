@@ -143,7 +143,7 @@ HierarchicalAllReduce::analytic(Bytes tensor_bytes) const
 {
     const unsigned n = kTspsPerNode;
     const std::uint32_t slice = sliceVectors(tensor_bytes, n);
-    const Cycle window = 24;
+    const Cycle window = kScheduleWindowCycles;
     const Cycle flight = flightCycles(LinkClass::IntraNode);
 
     // Stage 1 (intra-node reduce-scatter): each TSP streams 7 slices

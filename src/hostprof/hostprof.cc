@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "common/format.hh"
 #include "common/log.hh"
@@ -36,15 +35,6 @@ HostProfiler::HostProfiler(const HostClock *clock, std::uint64_t windowNs)
     : clock_(clock ? clock : &steadyClock()),
       windowNs_(windowNs ? windowNs : 1)
 {
-    if (const char *env = std::getenv("TSM_HOSTPROF_SLOWDOWN_NS"))
-        slowdownNs_ = std::strtoull(env, nullptr, 10);
-}
-
-void
-HostProfiler::setSeed(std::uint64_t seed)
-{
-    seed_ = seed;
-    hasSeed_ = true;
 }
 
 const HostKindStats &
@@ -95,15 +85,7 @@ HostProfiler::dispatchEnd(EventKind kind, Tick simNow, std::size_t depth)
     ks.allocs += c.allocs - allocBase_;
     ks.allocBytes += c.bytes - allocBytesBase_;
 
-    // The injected slowdown spins *before* the closing clock read so
-    // the extra wall time is attributed to the event it slowed — the
-    // CI gate must see it in the kind totals and the sim rate alike.
-    std::uint64_t t = clock_->nowNs();
-    if (slowdownNs_ > 0) {
-        const std::uint64_t until = t + slowdownNs_;
-        while (t < until)
-            t = clock_->nowNs();
-    }
+    const std::uint64_t t = clock_->nowNs();
     ks.wallNs += t - mark_;
     ++ks.events;
     mark_ = t;
@@ -184,11 +166,7 @@ HostProfiler::report() const
     const double wallSec = double(wallNs_) / 1e9;
     const double simCycles = double(simPs_) / kCorePeriodPs;
 
-    Json doc = Json::object();
-    doc.set("schema", kHostprofSchema);
-    doc.set("bench", bench_);
-    if (hasSeed_)
-        doc.set("seed", seed_);
+    Json doc = documentHead(kHostprofSchema);
     doc.set("events", events_);
     doc.set("runs", runs_);
     doc.set("sim_ps", simPs_);
@@ -269,7 +247,6 @@ HostProfiler::report() const
     }
     doc.set("windows", std::move(windowsArr));
     doc.set("windows_dropped", windowsDropped_);
-    doc.set("slowdown_injected_ns", slowdownNs_);
     return doc;
 }
 

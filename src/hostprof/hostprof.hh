@@ -26,10 +26,6 @@
  * are byte-identical with and without it (tests/hostprof pins this).
  * Reports serialize as schema `tsm-hostprof-v1`; wall-time fields
  * vary run to run, count/depth fields are deterministic.
- *
- * The env var TSM_HOSTPROF_SLOWDOWN_NS=N busy-loops N wall-ns per
- * dispatched event — an artificial slowdown that must trip the CI
- * sim-rate gate, proving the gate can fail.
  */
 
 #ifndef TSM_HOSTPROF_HOSTPROF_HH
@@ -42,6 +38,7 @@
 #include "common/json.hh"
 #include "common/units.hh"
 #include "sim/event_kind.hh"
+#include "trace/observer.hh"
 
 namespace tsm {
 
@@ -114,7 +111,7 @@ struct HostWindow
  * EventQueue::setHostProfiler(); accumulates across multiple run()
  * invocations (wall time accrues only inside runs).
  */
-class HostProfiler
+class HostProfiler : public Observer
 {
   public:
     /**
@@ -125,20 +122,6 @@ class HostProfiler
      */
     explicit HostProfiler(const HostClock *clock = nullptr,
                           std::uint64_t windowNs = 50'000'000);
-
-    /// @name Run identity (stamped into the report)
-    /// @{
-    void setBench(std::string bench) { bench_ = std::move(bench); }
-    void setSeed(std::uint64_t seed);
-    /// @}
-
-    /**
-     * Busy-loop this many wall-ns inside each dispatch — the
-     * artificial slowdown the CI gate proves it can catch. The
-     * constructor seeds it from TSM_HOSTPROF_SLOWDOWN_NS.
-     */
-    void setSlowdownNs(std::uint64_t ns) { slowdownNs_ = ns; }
-    std::uint64_t slowdownNs() const { return slowdownNs_; }
 
     /// @name EventQueue hooks (hot path)
     /// @{
@@ -188,10 +171,6 @@ class HostProfiler
 
     const HostClock *clock_;
     std::uint64_t windowNs_;
-    std::string bench_ = "unknown";
-    std::uint64_t seed_ = 0;
-    bool hasSeed_ = false;
-    std::uint64_t slowdownNs_ = 0;
 
     bool started_ = false;
     bool inRun_ = false;

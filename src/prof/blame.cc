@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "common/format.hh"
+#include "scenario/scenario.hh"
 #include "trace/span.hh"
 
 namespace tsm {
@@ -218,10 +219,12 @@ BlameSink::decompose(TspId chip, Tick from, Tick to) const
 }
 
 void
-BlameCollector::setSeed(std::uint64_t seed)
+BlameCollector::onCompiled(const RunIdentity &run,
+                            const CompiledScenario *compiled)
 {
-    seed_ = seed;
-    hasSeed_ = true;
+    Observer::onCompiled(run, compiled);
+    if (compiled)
+        setSchedule(compiled->schedule, compiled->topo);
 }
 
 void
@@ -288,11 +291,7 @@ BlameCollector::setSchedule(const NetworkSchedule &sched,
 Json
 BlameCollector::report() const
 {
-    Json doc = Json::object();
-    doc.set("schema", kBlameSchema);
-    doc.set("bench", bench_);
-    if (hasSeed_)
-        doc.set("seed", seed_);
+    Json doc = documentHead(kBlameSchema);
     doc.set("source", source_);
 
     // Totals over every paired recv, all hops.

@@ -191,16 +191,21 @@ class BlameSink : public TraceSink
 };
 
 /** Collects one run's blame accounts and serializes them. */
-class BlameCollector
+class BlameCollector : public Observer
 {
   public:
+    /**
+     * Stamps the run identity and, for a compiled run, attaches its
+     * schedule.
+     */
+    void onCompiled(const RunIdentity &run,
+                    const CompiledScenario *compiled) override;
+
+    TraceSink *traceSink() override { return &sink_; }
+
     /** The trace sink to attach to the run's Tracer. */
     BlameSink &sink() { return sink_; }
     const BlameSink &sink() const { return sink_; }
-
-    /** Identity stamped into the document. */
-    void setBench(std::string name) { bench_ = std::move(name); }
-    void setSeed(std::uint64_t seed);
 
     /**
      * Attribution source: "ssn" (default, byte-stable across seeds)
@@ -224,10 +229,7 @@ class BlameCollector
 
   private:
     BlameSink sink_;
-    std::string bench_ = "unknown";
     std::string source_ = "ssn";
-    std::uint64_t seed_ = 0;
-    bool hasSeed_ = false;
     std::optional<Json> schedule_;
 };
 

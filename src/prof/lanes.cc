@@ -7,6 +7,7 @@
 #include "common/format.hh"
 #include "common/table.hh"
 #include "net/flit.hh"
+#include "scenario/scenario.hh"
 
 namespace tsm {
 
@@ -125,10 +126,12 @@ LaneSink::event(const TraceEvent &ev)
 }
 
 void
-LaneCollector::setSeed(std::uint64_t seed)
+LaneCollector::onCompiled(const RunIdentity &run,
+                           const CompiledScenario *compiled)
 {
-    seed_ = seed;
-    hasSeed_ = true;
+    Observer::onCompiled(run, compiled);
+    if (compiled)
+        setSchedule(compiled->schedule, compiled->topo);
 }
 
 void
@@ -152,11 +155,7 @@ LaneCollector::setSchedule(const NetworkSchedule &sched,
 Json
 LaneCollector::report() const
 {
-    Json doc = Json::object();
-    doc.set("schema", kLanesSchema);
-    doc.set("bench", bench_);
-    if (hasSeed_)
-        doc.set("seed", seed_);
+    Json doc = documentHead(kLanesSchema);
     doc.set("lookahead_ps", std::uint64_t(sink_.lookaheadPs()));
 
     Json totals = Json::object();

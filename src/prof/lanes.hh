@@ -210,21 +210,26 @@ class LaneSink : public TraceSink
 };
 
 /** Collects one run's lane accounts and serializes them. */
-class LaneCollector
+class LaneCollector : public Observer
 {
   public:
+    /**
+     * Stamps the run identity and, for a compiled run, attaches its
+     * schedule.
+     */
+    void onCompiled(const RunIdentity &run,
+                    const CompiledScenario *compiled) override;
+
+    TraceSink *traceSink() override { return &sink_; }
+
     /** The trace sink to attach to the run's Tracer. */
     LaneSink &sink() { return sink_; }
     const LaneSink &sink() const { return sink_; }
 
-    /** Identity stamped into the document. */
-    void setBench(std::string name) { bench_ = std::move(name); }
-    void setSeed(std::uint64_t seed);
-
     /**
      * Derive the conservative lookahead from `topo` and the link-leg
      * direction table from `sched`. Must run before the trace stream
-     * starts — runScheduledScenario does this automatically.
+     * starts — onCompiled does this for a compiled run.
      */
     void setSchedule(const NetworkSchedule &sched, const Topology &topo);
 
@@ -237,9 +242,6 @@ class LaneCollector
 
   private:
     LaneSink sink_;
-    std::string bench_ = "unknown";
-    std::uint64_t seed_ = 0;
-    bool hasSeed_ = false;
 };
 
 /**

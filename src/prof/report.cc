@@ -4,10 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "common/format.hh"
 #include "common/table.hh"
 #include "hostprof/hostprof.hh"
+#include "scenario/scenario.hh"
 #include "telemetry/phase.hh"
 
 namespace tsm {
@@ -43,10 +45,13 @@ frac(double num, double den)
 } // namespace
 
 void
-ProfileCollector::setSeed(std::uint64_t seed)
+ProfileCollector::onCompiled(const RunIdentity &run,
+                             const CompiledScenario *compiled)
 {
-    seed_ = seed;
-    hasSeed_ = true;
+    Observer::onCompiled(run, compiled);
+    if (compiled)
+        setSchedule(compiled->schedule, compiled->topo,
+                    compiled->lowered.transfers);
 }
 
 void
@@ -73,11 +78,7 @@ Json
 ProfileCollector::report() const
 {
     const ProfilerSink &s = sink_;
-    Json root = Json::object();
-    root.set("schema", kProfileSchema);
-    root.set("bench", bench_);
-    if (hasSeed_)
-        root.set("seed", seed_);
+    Json root = documentHead(kProfileSchema);
 
     const double spanPs = double(s.spanPs());
     const std::uint64_t spanCycles =
@@ -497,6 +498,31 @@ writeProfileReport(const std::string &path, const Json &report,
         return false;
     }
     return true;
+}
+
+Json
+readDocument(const std::string &path, const char *schema,
+             std::string *error)
+{
+    std::ifstream f(path, std::ios::binary);
+    if (!f) {
+        *error = "cannot open " + path;
+        return Json();
+    }
+    std::ostringstream text;
+    text << f.rdbuf();
+    std::string why;
+    Json doc = Json::parse(text.str(), &why);
+    if (doc.isNull()) {
+        *error = path + ": " + why;
+        return Json();
+    }
+    if (schema && (doc["schema"].kind() != Json::Kind::String ||
+                   doc["schema"].str() != schema)) {
+        *error = path + ": not a " + schema + " document";
+        return Json();
+    }
+    return doc;
 }
 
 } // namespace tsm

@@ -33,16 +33,22 @@ namespace tsm {
 inline constexpr const char *kProfileSchema = "tsm-profile-v1";
 
 /** Collects one run's profile and serializes it. */
-class ProfileCollector
+class ProfileCollector : public Observer
 {
   public:
+    /**
+     * Stamps the run identity and, for a compiled run, attaches its
+     * schedule.
+     */
+    void onCompiled(const RunIdentity &run,
+                    const CompiledScenario *compiled) override;
+
+    TraceSink *traceSink() override { return &sink_; }
+
+    void finish() override { sink_.finish(); }
     /** The trace sink to attach to the run's Tracer. */
     ProfilerSink &sink() { return sink_; }
     const ProfilerSink &sink() const { return sink_; }
-
-    /** Identity stamped into the report. */
-    void setBench(std::string name) { bench_ = std::move(name); }
-    void setSeed(std::uint64_t seed);
 
     /**
      * Attach the static analysis of the schedule this run executed;
@@ -74,9 +80,6 @@ class ProfileCollector
   private:
     ProfilerSink sink_;
     std::optional<SsnAnalysis> analysis_;
-    std::string bench_ = "unknown";
-    std::uint64_t seed_ = 0;
-    bool hasSeed_ = false;
     std::vector<std::pair<std::string, double>> extras_;
     std::optional<Json> phases_;
 };
@@ -102,6 +105,15 @@ std::string renderProfileSummary(const Json &report, unsigned top_k = 5,
  */
 bool writeProfileReport(const std::string &path, const Json &report,
                         std::string *error = nullptr);
+
+/**
+ * Read a document back: null, with "cannot open PATH", "PATH: <parse
+ * error>" or "PATH: not a SCHEMA document" in `*error`, when the file
+ * is unreadable, malformed, or (for a non-null `schema`) of another
+ * schema.
+ */
+Json readDocument(const std::string &path, const char *schema,
+                  std::string *error);
 
 } // namespace tsm
 

@@ -9,6 +9,7 @@
 #include "common/units.hh"
 #include "net/link_params.hh"
 #include "prof/ssn_analysis.hh"
+#include "scenario/scenario.hh"
 #include "ssn/reservation.hh"
 #include "ssn/transfer.hh"
 
@@ -430,10 +431,13 @@ staticCompletionCycles(const NetworkSchedule &sched, const Topology &topo,
 }
 
 void
-WhatIfCollector::setSeed(std::uint64_t seed)
+WhatIfCollector::onCompiled(const RunIdentity &run,
+                             const CompiledScenario *compiled)
 {
-    seed_ = seed;
-    hasSeed_ = true;
+    Observer::onCompiled(run, compiled);
+    if (compiled)
+        setSchedule(compiled->schedule, compiled->topo,
+                    compiled->lowered.transfers);
 }
 
 void
@@ -508,8 +512,8 @@ WhatIfCollector::report() const
 {
     Json doc = Json::object();
     doc.set("schema", kWhatIfSchema);
-    doc.set("bench", bench_);
-    doc.set("seed", std::int64_t(seed_));
+    doc.set("bench", identity().bench);
+    doc.set("seed", std::int64_t(identity().seed));
     doc.set("lever_factor", factor_);
 
     const Tick lastTick = sink_.last();

@@ -228,14 +228,17 @@ std::vector<WhatIfProjection> rankedLevers(const WhatIfEngine &engine,
  * sink only records the simulated completion tick so the document
  * can report the observed completion and the hac_drift lever.
  */
-class WhatIfCollector
+class WhatIfCollector : public Observer
 {
   public:
-    /** The trace sink to attach to the run's Tracer. */
-    TraceSink &sink() { return sink_; }
+    /**
+     * Stamps the run identity and, for a compiled run, attaches its
+     * schedule.
+     */
+    void onCompiled(const RunIdentity &run,
+                    const CompiledScenario *compiled) override;
 
-    void setBench(std::string name) { bench_ = std::move(name); }
-    void setSeed(std::uint64_t seed);
+    TraceSink *traceSink() override { return &sink_; }
 
     /** Lever speedup factor for the standard catalog (default 2). */
     void setLeverFactor(double factor) { factor_ = factor; }
@@ -287,9 +290,6 @@ class WhatIfCollector
     };
 
     CompletionSink sink_;
-    std::string bench_ = "unknown";
-    std::uint64_t seed_ = 0;
-    bool hasSeed_ = false;
     double factor_ = 2.0;
     unsigned maxLevers_ = 64;
 

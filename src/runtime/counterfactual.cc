@@ -1,52 +1,38 @@
 #include "runtime/counterfactual.hh"
 
 #include <cmath>
-#include <memory>
-#include <utility>
-#include <vector>
 
-#include "arch/chip.hh"
-#include "net/network.hh"
 #include "prof/profiler.hh"
-#include "sim/event_queue.hh"
+#include "runtime/machine.hh"
 
 namespace tsm {
 
 bool
 runCounterfactual(const Topology &topo, const WhatIfCounterfactual &cf,
-                  std::uint64_t seed, CounterfactualRun *out,
-                  std::string *error)
+                   std::uint64_t seed, CounterfactualRun *out,
+                   std::string *error)
 {
-    ProgramSet programs;
-    if (!tryBuildPrograms(cf.schedule, topo, {}, {}, programs, error))
+    CompiledScenario compiled;
+    compiled.topo = topo;
+    compiled.schedule = cf.schedule;
+    if (!tryBuildPrograms(compiled.schedule, topo, {}, {}, compiled.programs,
+                          error))
         return false;
 
     Cycle promised = 0;
-    for (const Program &prog : programs.byChip)
+    for (const Program &prog : compiled.programs.byChip)
         for (const Instr &i : prog.instrs)
             if (i.op == Op::Recv && i.issueAt != kCycleUnscheduled &&
                 i.issueAt > promised)
                 promised = i.issueAt;
 
-    EventQueue eq;
     ProfilerSink prof;
-    eq.tracer().addSink(&prof);
-
-    Network net(topo, eq, Rng(seed));
+    Machine machine(compiled, seed);
     for (const LinkTimingOverride &lt : cf.linkTiming)
-        net.setLinkTiming(lt.link, lt.serializationPs, lt.propagationPs);
-
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        chips[t]->setStream(0, makeVec(Vec(1.0f)));
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
-    eq.tracer().removeSink(&prof);
+        machine.net().setLinkTiming(lt.link, lt.serializationPs,
+                                    lt.propagationPs);
+    machine.eventq().tracer().addSink(&prof);
+    machine.run();
     prof.finish();
 
     CounterfactualRun run;
@@ -55,7 +41,7 @@ runCounterfactual(const Topology &topo, const WhatIfCounterfactual &cf,
         std::llround(double(prof.lastRecvTick()) / kCorePeriodPs));
     run.gapCycles = std::int64_t(run.simulatedCompletionCycles) -
                     std::int64_t(run.staticCompletionCycles);
-    run.flitsDelivered = net.totalFlits();
+    run.flitsDelivered = machine.net().totalFlits();
     if (out)
         *out = run;
     return true;

@@ -3,5 +3,5 @@ tsm_module(runtime
     system.cc
     runtime.cc
     global_memory.cc
-    traced_scenario.cc
+    machine.cc
 )

@@ -6,51 +6,38 @@
 #include "hostprof/hostprof.hh"
 #include "prof/blame.hh"
 #include "prof/lanes.hh"
-#include "prof/report.hh"
-#include "telemetry/progress.hh"
-#include "telemetry/timeline.hh"
+#include "runtime/machine.hh"
 #include "trace/journal.hh"
 
 namespace tsm {
-
-namespace {
-
-Cycle
-foregroundMakespan(const NetworkSchedule &sched,
-                   const LoweredScenario &lowered)
-{
-    Cycle fg = 0;
-    for (std::size_t i = 0; i < lowered.transfers.size(); ++i) {
-        if (lowered.roles[i] != FlowRole::Foreground)
-            continue;
-        fg = std::max(fg,
-                      sched.flowCompletion(lowered.transfers[i].flow));
-    }
-    return fg;
-}
-
-} // namespace
 
 ScenarioRunResult
 runScenario(TraceSession &session, const Scenario &scenario,
             const ScenarioOverrides &overrides)
 {
-    const std::uint64_t seed = overrides.seed.value_or(scenario.seed);
-    const double mbe = overrides.mbe.value_or(scenario.mbe);
-
-    const Topology topo = scenario.topology.build();
-    const LoweredScenario lowered = lowerScenario(scenario, topo);
-
     ScenarioRunResult result;
-    result.traced =
-        runScheduledScenario(session, topo, lowered.transfers,
-                             scenario.name, seed, mbe, scenario.ssn);
-    result.makespan = result.traced.schedule.makespan;
-    result.foregroundMakespan =
-        foregroundMakespan(result.traced.schedule, lowered);
-    result.transfers = lowered.transfers.size();
-    result.backgroundTransfers = lowered.backgroundTransfers();
+    std::optional<CompiledScenario> compiled =
+        compileScenario(scenario, &result.error);
+    if (!compiled)
+        return result;
+    result.compiled = std::move(*compiled);
+
+    Machine machine(result.compiled, overrides.seed.value_or(scenario.seed),
+                    overrides.mbe.value_or(scenario.mbe));
+    machine.run(session.observers(), scenario.name, session.hostprof());
+    result.flitsDelivered = machine.net().totalFlits();
     return result;
+}
+
+ScenarioRunResult
+runScenarioFile(TraceSession &session, const std::string &path,
+                const ScenarioOverrides &overrides)
+{
+    Scenario scenario;
+    ScenarioRunResult result;
+    if (!loadScenarioFile(path, scenario, &result.error))
+        return result;
+    return runScenario(session, scenario, overrides);
 }
 
 bool
@@ -123,34 +110,35 @@ ScenarioExecution
 executeScenario(const Scenario &scenario,
                 const ScenarioOverrides &overrides, HostProfiler *hostprof)
 {
-    const std::uint64_t seed = overrides.seed.value_or(scenario.seed);
-    const double mbe = overrides.mbe.value_or(scenario.mbe);
-
-    const Topology topo = scenario.topology.build();
-    const LoweredScenario lowered = lowerScenario(scenario, topo);
-
+    ScenarioExecution exec;
     std::ostringstream journalText;
     JournalSink journal(journalText);
     ProfilerSink profiler;
     BlameCollector blame;
-    blame.setBench(scenario.name);
-    blame.setSeed(seed);
     LaneCollector lanes;
-    lanes.setBench(scenario.name);
-    lanes.setSeed(seed);
+    std::vector<Observer *> observers = {&journal, &profiler, &blame,
+                                         &lanes};
+    if (hostprof)
+        observers.push_back(hostprof);
 
-    if (hostprof) {
-        hostprof->setBench(scenario.name);
-        hostprof->setSeed(seed);
+    // The compiled scenario and the machine are released before the
+    // documents are built, which is when the observers hold the most.
+    {
+        const std::optional<CompiledScenario> compiled =
+            compileScenario(scenario, &exec.error);
+        if (!compiled)
+            return exec;
+        Machine machine(*compiled, overrides.seed.value_or(scenario.seed),
+                        overrides.mbe.value_or(scenario.mbe));
+        machine.run(observers, scenario.name, hostprof);
+        exec.flitsDelivered = machine.net().totalFlits();
+        exec.makespan = compiled->schedule.makespan;
+        for (const TensorTransfer &t : compiled->lowered.transfers)
+            exec.expectedSpans += t.vectors;
     }
-    TraceSession inactive;
-    const TracedScenarioResult traced = runScheduledScenario(
-        inactive, topo, lowered.transfers, scenario.name, seed, mbe,
-        scenario.ssn, {&journal, &profiler, &blame.sink()}, hostprof,
-        &lanes);
-    blame.setSchedule(traced.schedule, topo);
+    for (Observer *o : observers)
+        o->finish();
 
-    ScenarioExecution exec;
     exec.journal = journalText.str();
     exec.transfers = profiler.transfers();
     exec.blame = blame.report();
@@ -162,10 +150,6 @@ executeScenario(const Scenario &scenario,
         if (const Log2Histogram *h = profiler.queueDelay(link))
             exec.linkQueueDelayPs[link] = Tick(h->sum());
     }
-    for (const TensorTransfer &t : lowered.transfers)
-        exec.expectedSpans += t.vectors;
-    exec.makespan = traced.schedule.makespan;
-    exec.flitsDelivered = traced.flitsDelivered;
     return exec;
 }
 

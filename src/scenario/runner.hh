@@ -2,7 +2,8 @@
  * @file
  * Executing a parsed Scenario on the simulated machine.
  *
- * Two entry points share the same lowering and execution path:
+ * Two entry points share one path: compileScenario, then Machine::run
+ * with a list of observers.
  *
  *  - runScenario() drives a TraceSession, exposing the full
  *    instrumentation flag set (--trace/--report/--journal/--timeline/
@@ -29,8 +30,8 @@
 
 #include "common/json.hh"
 #include "prof/profiler.hh"
-#include "runtime/traced_scenario.hh"
 #include "scenario/scenario.hh"
+#include "trace/session.hh"
 
 namespace tsm {
 
@@ -44,30 +45,36 @@ struct ScenarioOverrides
 /** Outcome of one scenario run through a TraceSession. */
 struct ScenarioRunResult
 {
-    TracedScenarioResult traced;
+    /** Why the scenario did not compile; empty when it ran. */
+    std::string error;
 
-    /** Cycle by which every transfer (any role) has arrived. */
-    Cycle makespan = 0;
+    /** What ran: topology, lowered traffic, schedule, programs. */
+    CompiledScenario compiled;
 
-    /** Cycle by which every *foreground* transfer has arrived. */
-    Cycle foregroundMakespan = 0;
-
-    std::size_t transfers = 0;
-    std::size_t backgroundTransfers = 0;
+    /** Data flits delivered across all links. */
+    std::uint64_t flitsDelivered = 0;
 };
 
 /**
- * Lower and execute `scenario` with the session's sinks attached.
- * The session's collectors are stamped with the scenario name and
- * the effective seed.
+ * Compile `scenario` once and run it with the session's observers.
+ * They are stamped with the scenario name and the effective seed. A
+ * scenario that does not compile is not run: `error` says why.
  */
 ScenarioRunResult runScenario(TraceSession &session,
                               const Scenario &scenario,
                               const ScenarioOverrides &overrides = {});
 
+/** Load the scenario file at `path` and runScenario it. */
+ScenarioRunResult runScenarioFile(TraceSession &session,
+                                  const std::string &path,
+                                  const ScenarioOverrides &overrides = {});
+
 /** What executeScenario captured. */
 struct ScenarioExecution
 {
+    /** Why the scenario did not compile; empty when it ran. */
+    std::string error;
+
     /** Canonical tsm-journal-v1 text of the full trace stream. */
     std::string journal;
 
@@ -125,12 +132,14 @@ struct ScenarioExecution
 };
 
 /**
- * Execute `scenario` headless, capturing the journal and waterfalls.
- * Deterministic: equal scenarios and overrides produce byte-identical
- * journals — the invariant tools/tsm_fuzz asserts. `hostprof`, when
- * given, observes the run's event queue (the fuzzer's --stats path);
- * it never influences the simulation, so the journal is identical
- * with and without it.
+ * Compile `scenario` once and execute it headless with a journal, a
+ * profiler, a blame and a lanes collector as its observers, capturing
+ * their results. Deterministic: equal scenarios and overrides produce
+ * byte-identical journals — the invariant tools/tsm_fuzz asserts. A
+ * scenario that does not compile is not run: `error` says why.
+ * `hostprof`, when given, observes the run's event queue (the
+ * fuzzer's --stats path); it never influences the simulation, so the
+ * journal is identical with and without it.
  */
 ScenarioExecution executeScenario(const Scenario &scenario,
                                   const ScenarioOverrides &overrides = {},

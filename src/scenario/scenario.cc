@@ -574,8 +574,12 @@ lowerScenario(const Scenario &scenario, const Topology &topo)
     return out;
 }
 
+namespace {
+
+/** The scenario-level checks; builds `topo` and lowers the traffic. */
 bool
-validateScenario(const Scenario &scenario, std::string *error)
+checkScenario(const Scenario &scenario, Topology &topo,
+              LoweredScenario &lowered, std::string *error)
 {
     if (scenario.mbe < 0.0 || scenario.mbe > 1.0)
         return fail(error, "mbe must be in [0, 1]");
@@ -595,7 +599,7 @@ validateScenario(const Scenario &scenario, std::string *error)
         }
     }
 
-    const Topology topo = scenario.topology.build();
+    topo = scenario.topology.build();
     const unsigned n = topo.numTsps();
     if (n < 2)
         return fail(error, "topology has fewer than 2 TSPs — nothing "
@@ -632,7 +636,7 @@ validateScenario(const Scenario &scenario, std::string *error)
         }
     }
 
-    const LoweredScenario lowered = lowerScenario(scenario, topo);
+    lowered = lowerScenario(scenario, topo);
     std::map<FlowId, std::size_t> seen;
     for (std::size_t i = 0; i < lowered.transfers.size(); ++i) {
         const FlowId id = lowered.transfers[i].flow;
@@ -647,20 +651,66 @@ validateScenario(const Scenario &scenario, std::string *error)
         }
     }
 
-    // Finally, dry-run the SSN compile: the machine's stream-register
-    // buffering is finite, so a schedulable transfer set can still
-    // oversubscribe a chip's forwarding capacity. Catching it here
-    // turns a simulator panic into a parse-time diagnosis.
-    SsnScheduler scheduler(topo, scenario.ssn);
-    const NetworkSchedule sched = scheduler.schedule(lowered.transfers);
-    ProgramSet programs;
-    std::string capacity;
-    if (!tryBuildPrograms(sched, topo, {}, {}, programs, &capacity))
-        return fail(error, "traffic oversubscribes the machine (" +
-                               capacity +
-                               ") — reduce vectors, spread start "
-                               "cycles, or stagger flows");
     return true;
+}
+
+} // namespace
+
+std::optional<CompiledScenario>
+compileScenario(const Scenario &scenario, std::string *error)
+{
+    Topology topo;
+    LoweredScenario lowered;
+    if (!checkScenario(scenario, topo, lowered, error))
+        return std::nullopt;
+    auto compiled = compileTransfers(
+        std::move(topo), std::move(lowered.transfers), scenario.ssn, error);
+    if (compiled)
+        compiled->lowered.roles = std::move(lowered.roles);
+    return compiled;
+}
+
+std::optional<CompiledScenario>
+compileTransfers(Topology topo, std::vector<TensorTransfer> transfers,
+                 SsnConfig ssn, std::string *error,
+                 const std::unordered_map<FlowId, LocalAddr> &dstBase)
+{
+    CompiledScenario out;
+    out.topo = std::move(topo);
+    const unsigned n = out.topo.numTsps();
+    for (const TensorTransfer &t : transfers) {
+        if (t.src >= n || t.dst >= n || t.src == t.dst) {
+            fail(error, "flow " + std::to_string(t.flow) + " from chip " +
+                            std::to_string(t.src) + " to chip " +
+                            std::to_string(t.dst) +
+                            " does not cross a link of the " +
+                            std::to_string(n) + "-TSP topology");
+            return std::nullopt;
+        }
+    }
+    out.lowered.roles.assign(transfers.size(), FlowRole::Foreground);
+    out.lowered.transfers = std::move(transfers);
+
+    SsnScheduler scheduler(out.topo, ssn);
+    out.schedule = scheduler.schedule(out.lowered.transfers);
+    // The machine's stream-register buffering is finite, so a
+    // schedulable transfer set can still oversubscribe a chip's
+    // forwarding capacity: a diagnosis here, not a simulator panic.
+    std::string capacity;
+    if (!tryBuildPrograms(out.schedule, out.topo, dstBase, {},
+                          out.programs, &capacity)) {
+        fail(error, "traffic oversubscribes the machine (" + capacity +
+                        ") — reduce vectors, spread start cycles, or "
+                        "stagger flows");
+        return std::nullopt;
+    }
+    return out;
+}
+
+bool
+validateScenario(const Scenario &scenario, std::string *error)
+{
+    return compileScenario(scenario, error).has_value();
 }
 
 bool

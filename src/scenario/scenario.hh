@@ -24,7 +24,9 @@
 #define TSM_SCENARIO_SCENARIO_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/json.hh"
@@ -181,11 +183,49 @@ LoweredScenario lowerScenario(const Scenario &scenario,
                               const Topology &topo);
 
 /**
- * Validate a scenario beyond what parsing checks syntactically:
- * builds the topology, lowers the traffic, and checks chip-id ranges,
- * flow-id uniqueness across all three sources, and non-empty tensors.
- * Returns false with a distinct message in `*error` per defect class.
+ * A scenario compiled for the machine: everything software decides
+ * before anything runs (paper §4). Built once by compileScenario, or
+ * by compileTransfers for a hand-built transfer list; executed by
+ * runtime/machine.hh's Machine and shown to every Observer.
  */
+struct CompiledScenario
+{
+    Topology topo;
+
+    /** The traffic as transfers, with their roles. */
+    LoweredScenario lowered;
+
+    /** Every vector's hop windows, fixed at compile time. */
+    NetworkSchedule schedule;
+
+    /** Per-chip programs lowered from the schedule (halt not emitted). */
+    ProgramSet programs;
+};
+
+/**
+ * Compile a scenario: build the topology, check chip-id ranges, self
+ * transfers and flow-id uniqueness across all three traffic sources,
+ * lower the traffic, schedule it, and build the per-chip programs
+ * (which fails when the chips cannot buffer the traffic). Returns
+ * nullopt with a distinct message in `*error` per defect class —
+ * never aborts on a scenario built in code.
+ */
+std::optional<CompiledScenario> compileScenario(const Scenario &scenario,
+                                                std::string *error);
+
+/**
+ * Compile a hand-built transfer list on `topo` under `ssn`; every
+ * transfer is foreground. Destination chips deposit flow f at
+ * `dstBase[f]` when given. Fails with a diagnosis on an endpoint
+ * outside the topology, a transfer to self, or traffic the chips
+ * cannot buffer.
+ */
+std::optional<CompiledScenario> compileTransfers(
+    Topology topo, std::vector<TensorTransfer> transfers,
+    SsnConfig ssn = {}, std::string *error = nullptr,
+    const std::unordered_map<FlowId, LocalAddr> &dstBase = {});
+
+/** Compile and discard: true when compileScenario would succeed. */
 bool validateScenario(const Scenario &scenario, std::string *error);
 
 /**

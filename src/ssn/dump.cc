@@ -81,7 +81,7 @@ std::string
 dumpLinkUtilization(const NetworkSchedule &sched, const Topology &topo,
                     unsigned bar_width)
 {
-    const Cycle window = 24;
+    const Cycle window = kScheduleWindowCycles;
     std::map<std::uint64_t, std::uint64_t> windows; // dir -> count
     for (const auto &sv : sched.vectors) {
         for (const auto &hop : sv.hops) {

@@ -239,7 +239,7 @@ ValidationReport
 validateSchedule(const NetworkSchedule &sched, const Topology &topo)
 {
     ValidationReport report;
-    const Cycle window = 24;
+    const Cycle window = kScheduleWindowCycles;
     // Replay every serialization window into a fresh occupancy map.
     std::map<std::pair<std::uint64_t, Cycle>, FlowId> occupied;
 

@@ -21,6 +21,7 @@
 
 #include "common/units.hh"
 #include "net/topology.hh"
+#include "ssn/reservation.hh"
 
 namespace tsm {
 
@@ -51,7 +52,7 @@ struct SpreadPlan
  * (vectors-1) serialization windows and lands path_latency later.
  */
 Cycle pathCompletionCycles(std::uint32_t vectors, Cycle path_latency,
-                           Cycle window = 24);
+                           Cycle window = kScheduleWindowCycles);
 
 /**
  * Optimal deterministic split of `vectors` across `paths`
@@ -60,7 +61,7 @@ Cycle pathCompletionCycles(std::uint32_t vectors, Cycle path_latency,
  */
 SpreadPlan spreadVectors(std::uint32_t vectors,
                          const std::vector<PathChoice> &paths,
-                         Cycle window = 24);
+                         Cycle window = kScheduleWindowCycles);
 
 /**
  * Convert topology paths to PathChoices with the scheduler's hop

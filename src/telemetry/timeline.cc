@@ -14,13 +14,6 @@ TimelineSampler::TimelineSampler(Cycle windowCycles)
         opByName_.emplace(opName(Op(o)), Op(o));
 }
 
-void
-TimelineSampler::setSeed(std::uint64_t seed)
-{
-    seed_ = seed;
-    hasSeed_ = true;
-}
-
 Cycle
 TimelineSampler::tickToCycle(Tick tick) const
 {
@@ -237,11 +230,7 @@ TimelineSampler::finish()
 Json
 TimelineSampler::report(const PhaseAnalysis *analysis) const
 {
-    Json root = Json::object();
-    root.set("schema", kTimelineSchema);
-    root.set("bench", bench_);
-    if (hasSeed_)
-        root.set("seed", seed_);
+    Json root = documentHead(kTimelineSchema);
     root.set("window_cycles", windowCycles_);
     root.set("window_ps",
              std::int64_t(std::llround(double(windowCycles_) *

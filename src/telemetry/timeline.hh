@@ -120,12 +120,6 @@ class TimelineSampler : public TraceSink
     /** Close out still-pending instruction occupancies. */
     void finish() override;
 
-    /// @name Run identity stamped into the document
-    /// @{
-    void setBench(std::string name) { bench_ = std::move(name); }
-    void setSeed(std::uint64_t seed);
-    /// @}
-
     /// @name Sampled windows (sparse, keyed by window index ascending)
     /// @{
     Cycle windowCycles() const { return windowCycles_; }
@@ -201,9 +195,6 @@ class TimelineSampler : public TraceSink
     static constexpr std::size_t kMarkerCap = 256;
 
     Cycle windowCycles_;
-    std::string bench_ = "unknown";
-    std::uint64_t seed_ = 0;
-    bool hasSeed_ = false;
 
     std::map<TspId, std::map<std::uint64_t, ChipWindow>> chips_;
     std::map<LinkId, std::map<std::uint64_t, LinkWindow>> links_;

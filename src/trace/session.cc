@@ -1,8 +1,6 @@
 #include "trace/session.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "hostprof/hostprof.hh"
 #include "prof/blame.hh"
@@ -12,48 +10,12 @@
 #include "telemetry/phase.hh"
 #include "telemetry/progress.hh"
 #include "telemetry/timeline.hh"
+#include "trace/chrome_trace.hh"
+#include "trace/digest.hh"
+#include "trace/journal.hh"
+#include "trace/metrics.hh"
 
 namespace tsm {
-
-TraceOptions
-TraceOptions::fromArgs(int &argc, char **argv)
-{
-    TraceOptions opts;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--trace=", 8) == 0) {
-            opts.tracePath = arg + 8;
-        } else if (std::strcmp(arg, "--metrics") == 0) {
-            opts.metrics = true;
-        } else if (std::strcmp(arg, "--digest") == 0) {
-            opts.digest = true;
-        } else if (std::strncmp(arg, "--report=", 9) == 0) {
-            opts.reportPath = arg + 9;
-        } else if (std::strncmp(arg, "--journal=", 10) == 0) {
-            opts.journalPath = arg + 10;
-        } else if (std::strncmp(arg, "--timeline=", 11) == 0) {
-            opts.timelinePath = arg + 11;
-        } else if (std::strncmp(arg, "--timeline-window=", 18) == 0) {
-            opts.timelineWindowCycles =
-                unsigned(std::strtoul(arg + 18, nullptr, 10));
-        } else if (std::strncmp(arg, "--progress=", 11) == 0) {
-            opts.progressMegacycles = std::strtod(arg + 11, nullptr);
-        } else if (std::strncmp(arg, "--hostprof=", 11) == 0) {
-            opts.hostprofPath = arg + 11;
-        } else if (std::strncmp(arg, "--blame=", 8) == 0) {
-            opts.blamePath = arg + 8;
-        } else if (std::strncmp(arg, "--whatif=", 9) == 0) {
-            opts.whatifPath = arg + 9;
-        } else if (std::strncmp(arg, "--lanes=", 8) == 0) {
-            opts.lanesPath = arg + 8;
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    return opts;
-}
 
 void
 TraceOptions::registerFlags(CliParser &parser)
@@ -85,43 +47,125 @@ TraceOptions::registerFlags(CliParser &parser)
                     "FILE");
 }
 
-bool
-TraceOptions::instrumented() const
+namespace {
+
+/** Write `doc` to `path`, saying so on stdout (or why not on stderr). */
+void
+writeDocument(const char *label, const std::string &path, const Json &doc)
 {
-    return !tracePath.empty() || metrics || digest || !reportPath.empty() ||
-           !journalPath.empty() || !timelinePath.empty() ||
-           progressMegacycles > 0 || !hostprofPath.empty() ||
-           !blamePath.empty() || !whatifPath.empty() ||
-           !lanesPath.empty();
+    std::string error;
+    if (writeProfileReport(path, doc, &error))
+        std::printf("%s: wrote %s\n", label, path.c_str());
+    else
+        std::fprintf(stderr, "%s: %s\n", label, error.c_str());
 }
 
-TraceSession::TraceSession() = default;
+} // namespace
 
+template <class T>
+T *
+TraceSession::add(std::unique_ptr<T> observer,
+                  std::type_identity_t<std::function<void(T &)>> report)
+{
+    T *raw = observer.get();
+    entries_.push_back({std::move(observer), [raw, report] {
+                            if (report)
+                                report(*raw);
+                        }});
+    observers_.push_back(raw);
+    return raw;
+}
+
+// The order below is the order reports print at finish(). Three
+// observers read another's results there: the timeline hands its
+// phase segmentation to the profile report, and the profile summary
+// carries the host profile's footer (printing the bare rate line
+// when there is no profile). The host profile, blame, what-if and
+// lanes documents each ride alone so every other artifact stays
+// byte-identical with and without them — they observe the run,
+// never perturb it.
 TraceSession::TraceSession(TraceOptions opts) : opts_(std::move(opts))
 {
     if (!opts_.tracePath.empty())
-        chrome_ = std::make_unique<ChromeTraceSink>(opts_.tracePath);
+        add(std::make_unique<ChromeTraceSink>(opts_.tracePath),
+            [this](ChromeTraceSink &chrome) {
+                std::printf("trace: wrote %llu events to %s\n",
+                            (unsigned long long)chrome.eventsWritten(),
+                            opts_.tracePath.c_str());
+            });
     if (opts_.metrics)
-        metricsSink_ = std::make_unique<MetricsSink>();
+        add(std::make_unique<MetricsSink>(), [](MetricsSink &m) {
+            std::printf("metrics:\n%s", m.registry().report().c_str());
+        });
     if (opts_.digest)
-        digestSink_ = std::make_unique<DigestSink>();
+        digest_ = add(std::make_unique<DigestSink>(), [](DigestSink &d) {
+            std::printf("timeline digest: 0x%016llx (%llu events)\n",
+                        (unsigned long long)d.digest(),
+                        (unsigned long long)d.events());
+        });
     if (!opts_.journalPath.empty())
-        journal_ = std::make_unique<JournalSink>(opts_.journalPath);
-    if (!opts_.reportPath.empty())
-        profile_ = std::make_unique<ProfileCollector>();
-    if (!opts_.timelinePath.empty())
-        timeline_ = std::make_unique<TimelineSampler>(
-            Cycle(opts_.timelineWindowCycles));
+        add(std::make_unique<JournalSink>(opts_.journalPath),
+            [this](JournalSink &journal) {
+                std::printf("journal: wrote %llu events to %s\n",
+                            (unsigned long long)journal.eventsWritten(),
+                            opts_.journalPath.c_str());
+            });
     if (opts_.progressMegacycles > 0)
-        progress_ = std::make_unique<ProgressSink>(opts_.progressMegacycles);
+        add(std::make_unique<ProgressSink>(opts_.progressMegacycles));
+    if (!opts_.timelinePath.empty())
+        add(std::make_unique<TimelineSampler>(
+                Cycle(opts_.timelineWindowCycles)),
+            [this](TimelineSampler &timeline) {
+                const PhaseAnalysis analysis = analyzePhases(timeline);
+                const Json doc = timeline.report(&analysis);
+                std::string error;
+                if (writeProfileReport(opts_.timelinePath, doc, &error))
+                    std::printf(
+                        "timeline: wrote %llu windows to %s\n",
+                        (unsigned long long)timeline.numWindows(),
+                        opts_.timelinePath.c_str());
+                else
+                    std::fprintf(stderr, "timeline: %s\n", error.c_str());
+                if (profile_)
+                    profile_->setPhases(phasesJson(analysis));
+            });
+    if (!opts_.reportPath.empty())
+        profile_ = add(std::make_unique<ProfileCollector>(),
+                       [this](ProfileCollector &profile) {
+                           const Json report = profile.report();
+                           const Json host =
+                               hostprof_ ? hostprof_->report() : Json();
+                           std::printf("%s", renderProfileSummary(
+                                                 report, 5,
+                                                 hostprof_ ? &host : nullptr)
+                                                 .c_str());
+                           writeDocument("profile", opts_.reportPath,
+                                         report);
+                       });
     if (!opts_.hostprofPath.empty())
-        hostprof_ = std::make_unique<HostProfiler>();
+        hostprof_ = add(std::make_unique<HostProfiler>(),
+                        [this](HostProfiler &hostprof) {
+                            const Json report = hostprof.report();
+                            if (!profile_)
+                                std::printf(
+                                    "%s",
+                                    renderHostRateLine(&report).c_str());
+                            writeDocument("hostprof", opts_.hostprofPath,
+                                          report);
+                        });
     if (!opts_.blamePath.empty())
-        blame_ = std::make_unique<BlameCollector>();
+        add(std::make_unique<BlameCollector>(), [this](BlameCollector &b) {
+            writeDocument("blame", opts_.blamePath, b.report());
+        });
     if (!opts_.whatifPath.empty())
-        whatif_ = std::make_unique<WhatIfCollector>();
+        add(std::make_unique<WhatIfCollector>(),
+            [this](WhatIfCollector &w) {
+                writeDocument("whatif", opts_.whatifPath, w.report());
+            });
     if (!opts_.lanesPath.empty())
-        lanes_ = std::make_unique<LaneCollector>();
+        add(std::make_unique<LaneCollector>(), [this](LaneCollector &l) {
+            writeDocument("lanes", opts_.lanesPath, l.report());
+        });
 }
 
 TraceSession::~TraceSession()
@@ -129,41 +173,11 @@ TraceSession::~TraceSession()
     finish();
 }
 
-bool
-TraceSession::active() const
-{
-    return chrome_ || metricsSink_ || digestSink_ || journal_ ||
-           profile_ || timeline_ || progress_ || hostprof_ || blame_ ||
-           whatif_ || lanes_;
-}
-
 void
 TraceSession::setRun(const std::string &bench, std::uint64_t seed)
 {
-    if (profile_) {
-        profile_->setBench(bench);
-        profile_->setSeed(seed);
-    }
-    if (timeline_) {
-        timeline_->setBench(bench);
-        timeline_->setSeed(seed);
-    }
-    if (hostprof_) {
-        hostprof_->setBench(bench);
-        hostprof_->setSeed(seed);
-    }
-    if (blame_) {
-        blame_->setBench(bench);
-        blame_->setSeed(seed);
-    }
-    if (whatif_) {
-        whatif_->setBench(bench);
-        whatif_->setSeed(seed);
-    }
-    if (lanes_) {
-        lanes_->setBench(bench);
-        lanes_->setSeed(seed);
-    }
+    for (Observer *o : observers_)
+        o->onCompiled({bench, seed}, nullptr);
 }
 
 void
@@ -171,26 +185,9 @@ TraceSession::attach(Tracer &tracer)
 {
     detach();
     tracer_ = &tracer;
-    if (chrome_)
-        tracer.addSink(chrome_.get());
-    if (metricsSink_)
-        tracer.addSink(metricsSink_.get());
-    if (digestSink_)
-        tracer.addSink(digestSink_.get());
-    if (journal_)
-        tracer.addSink(journal_.get());
-    if (profile_)
-        tracer.addSink(&profile_->sink());
-    if (timeline_)
-        tracer.addSink(timeline_.get());
-    if (progress_)
-        tracer.addSink(progress_.get());
-    if (blame_)
-        tracer.addSink(&blame_->sink());
-    if (whatif_)
-        tracer.addSink(&whatif_->sink());
-    if (lanes_)
-        tracer.addSink(&lanes_->sink());
+    for (Observer *o : observers_)
+        if (TraceSink *sink = o->traceSink())
+            tracer.addSink(sink);
 }
 
 void
@@ -198,39 +195,16 @@ TraceSession::detach()
 {
     if (!tracer_)
         return;
-    if (chrome_)
-        tracer_->removeSink(chrome_.get());
-    if (metricsSink_)
-        tracer_->removeSink(metricsSink_.get());
-    if (digestSink_)
-        tracer_->removeSink(digestSink_.get());
-    if (journal_)
-        tracer_->removeSink(journal_.get());
-    if (profile_)
-        tracer_->removeSink(&profile_->sink());
-    if (timeline_)
-        tracer_->removeSink(timeline_.get());
-    if (progress_)
-        tracer_->removeSink(progress_.get());
-    if (blame_)
-        tracer_->removeSink(&blame_->sink());
-    if (whatif_)
-        tracer_->removeSink(&whatif_->sink());
-    if (lanes_)
-        tracer_->removeSink(&lanes_->sink());
+    for (Observer *o : observers_)
+        if (TraceSink *sink = o->traceSink())
+            tracer_->removeSink(sink);
     tracer_ = nullptr;
-}
-
-MetricsRegistry *
-TraceSession::metrics()
-{
-    return metricsSink_ ? &metricsSink_->registry() : nullptr;
 }
 
 std::uint64_t
 TraceSession::digest() const
 {
-    return digestSink_ ? digestSink_->digest() : 0;
+    return digest_ ? digest_->digest() : 0;
 }
 
 void
@@ -240,104 +214,9 @@ TraceSession::finish()
         return;
     finished_ = true;
     detach();
-    if (chrome_) {
-        chrome_->finish();
-        std::printf("trace: wrote %llu events to %s\n",
-                    (unsigned long long)chrome_->eventsWritten(),
-                    opts_.tracePath.c_str());
-    }
-    if (metricsSink_) {
-        std::printf("metrics:\n%s",
-                    metricsSink_->registry().report().c_str());
-    }
-    if (digestSink_) {
-        std::printf("timeline digest: 0x%016llx (%llu events)\n",
-                    (unsigned long long)digestSink_->digest(),
-                    (unsigned long long)digestSink_->events());
-    }
-    if (journal_) {
-        journal_->finish();
-        std::printf("journal: wrote %llu events to %s\n",
-                    (unsigned long long)journal_->eventsWritten(),
-                    opts_.journalPath.c_str());
-    }
-    if (progress_)
-        progress_->finish();
-    if (timeline_) {
-        timeline_->finish();
-        const PhaseAnalysis analysis = analyzePhases(*timeline_);
-        const Json doc = timeline_->report(&analysis);
-        std::string error;
-        if (writeProfileReport(opts_.timelinePath, doc, &error))
-            std::printf("timeline: wrote %llu windows to %s\n",
-                        (unsigned long long)timeline_->numWindows(),
-                        opts_.timelinePath.c_str());
-        else
-            std::fprintf(stderr, "timeline: %s\n", error.c_str());
-        // The bottleneck phases belong in the profile report too: the
-        // whole-run accounts say how much, the phases say when.
-        if (profile_)
-            profile_->setPhases(phasesJson(analysis));
-    }
-    // The host profile is a separate document on purpose: the profile
-    // report must stay byte-identical with and without --hostprof, so
-    // the wall-clock footer rides along only in the rendered summary.
-    Json hostReport;
-    if (hostprof_)
-        hostReport = hostprof_->report();
-    if (profile_) {
-        profile_->sink().finish();
-        const Json report = profile_->report();
-        std::printf("%s", renderProfileSummary(
-                              report, 5, hostprof_ ? &hostReport : nullptr)
-                              .c_str());
-        std::string error;
-        if (writeProfileReport(opts_.reportPath, report, &error))
-            std::printf("profile: wrote %s\n", opts_.reportPath.c_str());
-        else
-            std::fprintf(stderr, "profile: %s\n", error.c_str());
-    }
-    if (hostprof_) {
-        if (!profile_)
-            std::printf("%s", renderHostRateLine(&hostReport).c_str());
-        std::string error;
-        if (writeProfileReport(opts_.hostprofPath, hostReport, &error))
-            std::printf("hostprof: wrote %s\n", opts_.hostprofPath.c_str());
-        else
-            std::fprintf(stderr, "hostprof: %s\n", error.c_str());
-    }
-    // Blame is a separate document for the same reason as hostprof:
-    // every other artifact must stay byte-identical with and without
-    // --blame — attribution observes the run, never perturbs it.
-    if (blame_) {
-        const Json report = blame_->report();
-        std::string error;
-        if (writeProfileReport(opts_.blamePath, report, &error))
-            std::printf("blame: wrote %s\n", opts_.blamePath.c_str());
-        else
-            std::fprintf(stderr, "blame: %s\n", error.c_str());
-    }
-    // Same isolation rule as hostprof and blame: the what-if document
-    // rides alone so every other artifact stays byte-identical with
-    // and without --whatif.
-    if (whatif_) {
-        const Json report = whatif_->report();
-        std::string error;
-        if (writeProfileReport(opts_.whatifPath, report, &error))
-            std::printf("whatif: wrote %s\n", opts_.whatifPath.c_str());
-        else
-            std::fprintf(stderr, "whatif: %s\n", error.c_str());
-    }
-    // Same isolation rule again: the concurrency profile rides alone
-    // so every other artifact stays byte-identical with and without
-    // --lanes.
-    if (lanes_) {
-        const Json report = lanes_->report();
-        std::string error;
-        if (writeProfileReport(opts_.lanesPath, report, &error))
-            std::printf("lanes: wrote %s\n", opts_.lanesPath.c_str());
-        else
-            std::fprintf(stderr, "lanes: %s\n", error.c_str());
+    for (Entry &e : entries_) {
+        e.observer->finish();
+        e.report();
     }
 }
 

@@ -35,33 +35,32 @@
  *                  (render and gate with tools/tsm_lanes, diff with
  *                  tools/tsm_bench_diff)
  *
- * A TraceSession owns the sinks the options imply and attaches them to
- * whichever Tracer the harness is currently driving. The tracer is
- * borrowed: call detach() (or attach() to a new tracer) before the
- * event queue owning it is destroyed.
+ * A TraceSession is a list of observers (trace/observer.hh), one per
+ * requested output, in the order their reports print at finish().
+ * Hand observers() to Machine::run (or runScenario) and every one of
+ * them sees the compiled run and its event stream. attach() borrows a
+ * bare Tracer for harnesses that drive their own event queue: call
+ * detach() (or attach() a new tracer) before that queue is destroyed.
  */
 
 #ifndef TSM_TRACE_SESSION_HH
 #define TSM_TRACE_SESSION_HH
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/cli.hh"
-#include "trace/chrome_trace.hh"
-#include "trace/digest.hh"
-#include "trace/journal.hh"
-#include "trace/metrics.hh"
+#include "trace/observer.hh"
 
 namespace tsm {
 
-class BlameCollector;
+class DigestSink;
 class HostProfiler;
-class LaneCollector;
 class ProfileCollector;
-class ProgressSink;
-class TimelineSampler;
-class WhatIfCollector;
+class Tracer;
 
 /** Parsed trace-related command-line options. */
 struct TraceOptions
@@ -102,27 +101,15 @@ struct TraceOptions
     /** Lanes document output path; empty = no concurrency profiling. */
     std::string lanesPath;
 
-    /**
-     * Scan argv for the options above, removing every recognized
-     * argument in place (argc is updated) so downstream parsers
-     * (e.g. google-benchmark) never see them. Unrecognized arguments
-     * are left alone; harnesses wanting strict rejection should use
-     * registerFlags() with their own CliParser instead.
-     */
-    static TraceOptions fromArgs(int &argc, char **argv);
-
     /** Register the trace flags on a strict CliParser. */
     void registerFlags(CliParser &parser);
-
-    /** True if any flag above requests an instrumented run. */
-    bool instrumented() const;
 };
 
-/** The sinks one traced run needs, bundled and CLI-configurable. */
+/** The observers one traced run needs, bundled and CLI-configurable. */
 class TraceSession
 {
   public:
-    TraceSession(); // out of line: members are incomplete types here
+    TraceSession() = default;
     explicit TraceSession(TraceOptions opts);
 
     /** Finishes (writes/prints) if finish() was not called. */
@@ -131,11 +118,14 @@ class TraceSession
     TraceSession(const TraceSession &) = delete;
     TraceSession &operator=(const TraceSession &) = delete;
 
-    /** True if any option requested any sink. */
-    bool active() const;
+    /** True if any option requested any output. */
+    bool active() const { return !observers_.empty(); }
+
+    /** The session's observers, in report order. */
+    const std::vector<Observer *> &observers() const { return observers_; }
 
     /**
-     * Attach this session's sinks to `tracer` (detaching from any
+     * Attach every observer's sink to `tracer` (detaching from any
      * previous tracer first). `tracer` must outlive the attachment.
      */
     void attach(Tracer &tracer);
@@ -143,81 +133,55 @@ class TraceSession
     /** Detach from the current tracer, if any. */
     void detach();
 
-    /** The metrics registry, or nullptr when --metrics is off. */
-    MetricsRegistry *metrics();
-
     /** Current timeline digest (0 when --digest is off). */
     std::uint64_t digest() const;
 
     /**
-     * The profile collector, or nullptr when --report is off. Use it
-     * to stamp run identity (bench name, seed) and attach the SSN
-     * schedule before finish().
+     * The profile collector, or nullptr when --report is off — for
+     * harness-specific extras (addExtra) before finish().
      */
-    ProfileCollector *profile() { return profile_.get(); }
-
-    /** The timeline sampler, or nullptr when --timeline is off. */
-    TimelineSampler *timeline() { return timeline_.get(); }
+    ProfileCollector *profile() { return profile_; }
 
     /**
      * The host-side self-profiler, or nullptr when --hostprof is off.
-     * Unlike the sinks above it is not attached to a Tracer: hand it
-     * to the run's EventQueue via setHostProfiler() — the harness
-     * helpers (runScheduledScenario, ScenarioRunner) do this
-     * automatically.
+     * It has no trace sink: hand it to the run's EventQueue (Machine
+     * run() and runScenario do this).
      */
-    HostProfiler *hostprof() { return hostprof_.get(); }
+    HostProfiler *hostprof() { return hostprof_; }
 
     /**
-     * The blame collector, or nullptr when --blame is off. Use it to
-     * attach the SSN schedule's compile-time attribution before
-     * finish() — runScheduledScenario does this automatically.
-     */
-    BlameCollector *blame() { return blame_.get(); }
-
-    /**
-     * The what-if collector, or nullptr when --whatif is off. Use it
-     * to attach the SSN schedule so the counterfactual levers can be
-     * projected — runScheduledScenario does this automatically.
-     */
-    WhatIfCollector *whatif() { return whatif_.get(); }
-
-    /**
-     * The concurrency-profile collector, or nullptr when --lanes is
-     * off. Use it to attach the SSN schedule before the run so the
-     * lookahead and link directions are known at fold time —
-     * runScheduledScenario does this automatically.
-     */
-    LaneCollector *lanes() { return lanes_.get(); }
-
-    /**
-     * Stamp run identity (bench name, seed) on every attached
-     * collector — currently the profile collector and the timeline
-     * sampler. Harness-specific extras (schedule, extra scalars) still
-     * go through profile() directly.
+     * Stamp run identity (bench name, seed) on every observer, for
+     * runs that are not compiled from a scenario.
      */
     void setRun(const std::string &bench, std::uint64_t seed);
 
     /**
-     * Detach, close the trace file, print the requested metrics
-     * table / digest / profile summary to stdout, and write the
-     * profile report file. Idempotent.
+     * Detach, then finish every observer in order: close the trace
+     * file, print the requested metrics table / digest / profile
+     * summary to stdout, and write each requested document.
+     * Idempotent.
      */
     void finish();
 
   private:
+    /** An owned observer and what to print/write after its finish(). */
+    struct Entry
+    {
+        std::unique_ptr<Observer> observer;
+        std::function<void()> report;
+    };
+
+    /** Append `observer` to the list; returns it, still owned here. */
+    template <class T>
+    T *add(std::unique_ptr<T> observer,
+           std::type_identity_t<std::function<void(T &)>> report = {});
+
     TraceOptions opts_;
-    std::unique_ptr<ChromeTraceSink> chrome_;
-    std::unique_ptr<MetricsSink> metricsSink_;
-    std::unique_ptr<DigestSink> digestSink_;
-    std::unique_ptr<JournalSink> journal_;
-    std::unique_ptr<ProfileCollector> profile_;
-    std::unique_ptr<TimelineSampler> timeline_;
-    std::unique_ptr<ProgressSink> progress_;
-    std::unique_ptr<HostProfiler> hostprof_;
-    std::unique_ptr<BlameCollector> blame_;
-    std::unique_ptr<WhatIfCollector> whatif_;
-    std::unique_ptr<LaneCollector> lanes_;
+    std::vector<Entry> entries_;
+    std::vector<Observer *> observers_;
+    DigestSink *digest_ = nullptr;
+    ProfileCollector *profile_ = nullptr;
+    HostProfiler *hostprof_ = nullptr;
     Tracer *tracer_ = nullptr;
     bool finished_ = false;
 };

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/units.hh"
+#include "trace/observer.hh"
 #include "trace/span.hh"
 
 namespace tsm {
@@ -93,20 +94,17 @@ struct TraceEvent
     SpanId span = kSpanNone;
 };
 
-/** Receiver of trace events. */
-class TraceSink
+/** Receiver of trace events; an Observer whose sink is itself. */
+class TraceSink : public Observer
 {
   public:
-    virtual ~TraceSink() = default;
-
     /** Categories this sink wants; consulted at attach time. */
     virtual unsigned categoryMask() const { return kTraceDefaultCats; }
 
     /** One event whose category is in categoryMask(). */
     virtual void event(const TraceEvent &ev) = 0;
 
-    /** End of stream (flush/close); may be called more than once. */
-    virtual void finish() {}
+    TraceSink *traceSink() override { return this; }
 };
 
 /**

@@ -223,22 +223,6 @@ TEST(HostProfiler, ReportSchemaAndKindOrdering)
     EXPECT_EQ(kindEvents, doc["events"].integer());
 }
 
-TEST(HostProfiler, InjectedSlowdownInflatesTheDispatchBucket)
-{
-    HostProfiler hp; // real steady clock
-    hp.setSlowdownNs(50'000);
-    EventQueue eq;
-    eq.setHostProfiler(&hp);
-    for (Tick t = 10; t <= 100; t += 10)
-        eq.schedule(t, [] {}, kSpanNone, EventKind::ChipIssue);
-    eq.run();
-    EXPECT_EQ(hp.events(), 10u);
-    // Each dispatch spun >= 50 us, attributed to chip_issue.
-    EXPECT_GE(hp.kind(EventKind::ChipIssue).wallNs, 10u * 50'000u);
-    const Json doc = hp.report();
-    EXPECT_EQ(doc["slowdown_injected_ns"].integer(), 50'000);
-}
-
 TEST(HostProfiler, CountsEventPathAllocations)
 {
     if (!hostalloc::hookCompiledIn())

@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "arch/chip.hh"
 #include "compiler/pipeline.hh"
-#include "ssn/scheduler.hh"
+#include "runtime/machine.hh"
 
 namespace tsm {
 namespace {
@@ -17,26 +14,7 @@ namespace {
  * matches the plan's analytic estimate to within the margins the
  * lowering inserts.
  */
-class PipelineOnChips : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        topo = Topology::makeNode();
-        net = std::make_unique<Network>(topo, eq, Rng(55));
-        for (TspId t = 0; t < topo.numTsps(); ++t)
-            chips.push_back(
-                std::make_unique<TspChip>(t, *net, DriftClock()));
-    }
-
-    Topology topo;
-    EventQueue eq;
-    std::unique_ptr<Network> net;
-    std::vector<std::unique_ptr<TspChip>> chips;
-};
-
-TEST_F(PipelineOnChips, MeasuredLatencyMatchesPlan)
+TEST(PipelineOnChips, MeasuredLatencyMatchesPlan)
 {
     // Four uniform stages of 5000 compute cycles shipping 32-vector
     // activations between consecutive chips.
@@ -51,12 +29,12 @@ TEST_F(PipelineOnChips, MeasuredLatencyMatchesPlan)
     }
     const auto plan =
         planPipeline(blocks, stages, BalanceMode::MovementAware);
-    const auto transfers = plan.transfers(1);
-
-    SsnScheduler scheduler(topo);
-    const auto sched = scheduler.schedule(transfers);
+    const auto compiled =
+        compileTransfers(Topology::makeNode(), plan.transfers(1));
+    const Topology &topo = compiled.value().topo;
+    const NetworkSchedule &sched = compiled->schedule;
     ASSERT_TRUE(validateSchedule(sched, topo).ok);
-    auto programs = buildPrograms(sched, topo);
+    Machine machine(*compiled, 55);
 
     // Weave each stage's compute into the idle gaps between its
     // scheduled communication instructions — the single-sequence
@@ -100,30 +78,23 @@ TEST_F(PipelineOnChips, MeasuredLatencyMatchesPlan)
             s == 0 ? 0
                    : sched.flows.at(FlowId(s)).lastArrival +
                          kRxMarginCycles + 1;
-        chips[s]->setStream(0, makeVec(Vec(float(s))));
-        chips[s]->load(
-            weave(programs.byChip[s], stage_compute, input_ready));
-        chips[s]->start(0);
+        machine.chip(s).setStream(0, makeVec(Vec(float(s))));
+        machine.chip(s).load(weave(compiled->programs.byChip[s],
+                                   stage_compute, input_ready));
     }
-    // Non-stage chips still participate: the spreader routes some
-    // vectors through them, so they run their forwarding programs.
-    for (unsigned s = stages; s < topo.numTsps(); ++s) {
-        Program fwd = std::move(programs.byChip[s]);
-        fwd.emitHalt();
-        chips[s]->load(std::move(fwd));
-        chips[s]->start(0);
-    }
-    eq.run();
+    // Non-stage chips keep their compiled forwarding programs: the
+    // spreader routes some vectors through them.
+    machine.run();
 
     for (unsigned s = 0; s < stages; ++s)
-        ASSERT_TRUE(chips[s]->halted()) << "stage " << s;
+        ASSERT_TRUE(machine.chip(s).halted()) << "stage " << s;
 
     // The last stage halts after its compute plus the final
     // activation delivery; the plan's latency counts the four stage
     // occupancies. Allow the lowering margins (receive slack, issue
     // staggering) but require cycle-scale agreement.
-    const Cycle measured = chips[stages - 1]->clock().tickToCycle(
-        chips[stages - 1]->stats().haltTick);
+    const TspChip &last = machine.chip(stages - 1);
+    const Cycle measured = last.clock().tickToCycle(last.stats().haltTick);
     const Cycle planned = plan.latencyCycles();
     EXPECT_GE(measured + 64, planned);
     // Upper slack: per-boundary flight + margins the analytic plan
@@ -135,10 +106,10 @@ TEST_F(PipelineOnChips, MeasuredLatencyMatchesPlan)
     // Data integrity: stage s+1 received stage s's activation (plus
     // possibly some forwarded vectors of other flows).
     for (unsigned s = 1; s < stages; ++s)
-        EXPECT_GE(chips[s]->stats().flitsReceived, act_vectors);
+        EXPECT_GE(machine.chip(s).stats().flitsReceived, act_vectors);
 }
 
-TEST_F(PipelineOnChips, ComputeGatesCommunication)
+TEST(PipelineOnChips, ComputeGatesCommunication)
 {
     // A transfer whose earliest is after a compute block must depart
     // exactly when the schedule says — not when the data "happens" to
@@ -149,24 +120,18 @@ TEST_F(PipelineOnChips, ComputeGatesCommunication)
     t.dst = 1;
     t.vectors = 4;
     t.earliest = 9999;
-    SsnScheduler scheduler(topo);
-    const auto sched = scheduler.schedule({t});
-    EXPECT_EQ(sched.flows.at(1).firstDeparture, 9999u);
+    const auto compiled = compileTransfers(Topology::makeNode(), {t});
+    EXPECT_EQ(compiled.value().schedule.flows.at(1).firstDeparture, 9999u);
 
-    auto programs = buildPrograms(sched, topo);
+    Machine machine(*compiled, 55);
     Program src;
     src.emitCompute(9999).issueAt = 0;
-    for (const auto &i : programs.byChip[0].instrs)
+    for (const auto &i : compiled->programs.byChip[0].instrs)
         src.instrs.push_back(i);
     src.emitHalt();
-    chips[0]->setStream(0, makeVec(Vec(1.0f)));
-    chips[0]->load(std::move(src));
-    programs.byChip[1].emitHalt();
-    chips[1]->load(std::move(programs.byChip[1]));
-    chips[0]->start(0);
-    chips[1]->start(0);
-    eq.run();
-    EXPECT_EQ(chips[1]->stats().flitsReceived, 4u);
+    machine.chip(0).load(std::move(src));
+    machine.run();
+    EXPECT_EQ(machine.chip(1).stats().flitsReceived, 4u);
 }
 
 } // namespace

@@ -21,7 +21,7 @@
 
 #include "prof/blame.hh"
 #include "prof/profiler.hh"
-#include "runtime/traced_scenario.hh"
+#include "runtime/machine.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
 #include "trace/journal.hh"
@@ -49,6 +49,18 @@ incastTransfers()
             makeTransfer(3, 3, 0, 24), makeTransfer(4, 4, 0, 24)};
 }
 
+/** Run the incast (seed 3) with `observers` attached, then finish them. */
+void
+runIncast(const std::vector<Observer *> &observers,
+          const std::string &bench = "blame_test")
+{
+    const auto compiled =
+        compileTransfers(Topology::makeNode(), incastTransfers());
+    Machine(compiled.value(), 3).run(observers, bench);
+    for (Observer *o : observers)
+        o->finish();
+}
+
 /** The same incast as a scenario document, for executeScenario. */
 Scenario
 incastScenario()
@@ -69,12 +81,9 @@ incastScenario()
 
 TEST(Blame, SharesSumExactlyToProfilerWaits)
 {
-    const Topology topo = Topology::makeNode();
     ProfilerSink prof;
     BlameCollector blame;
-    TraceSession inactive;
-    runScheduledScenario(inactive, topo, incastTransfers(), "blame_test",
-                         3, 0.0, {}, {&prof, &blame.sink()});
+    runIncast({&prof, &blame.sink()});
 
     const BlameSink &sink = blame.sink();
     ASSERT_FALSE(sink.transfers().empty());
@@ -125,17 +134,14 @@ TEST(Blame, ReportIsByteDeterministic)
 
 TEST(Blame, SinkDoesNotPerturbJournal)
 {
-    const Topology topo = Topology::makeNode();
-    auto journalOf = [&](bool withBlame) {
+    auto journalOf = [](bool withBlame) {
         std::ostringstream text;
         JournalSink journal(text);
         BlameCollector blame;
-        std::vector<TraceSink *> sinks{&journal};
+        std::vector<Observer *> sinks{&journal};
         if (withBlame)
             sinks.push_back(&blame.sink());
-        TraceSession inactive;
-        runScheduledScenario(inactive, topo, incastTransfers(),
-                             "blame_test", 3, 0.0, {}, sinks);
+        runIncast(sinks);
         return text.str();
     };
     const std::string without = journalOf(false);
@@ -181,11 +187,7 @@ TEST(Blame, SummaryRendersIdentityAndSections)
     BlameCollector collector;
     collector.setBench("blame_test_incast");
     collector.setSeed(3);
-    const Topology topo = Topology::makeNode();
-    TraceSession inactive;
-    runScheduledScenario(inactive, topo, incastTransfers(),
-                         "blame_test_incast", 3, 0.0, {},
-                         {&collector.sink()});
+    runIncast({&collector.sink()}, "blame_test_incast");
     const Json report = collector.report();
     EXPECT_EQ(report["schema"].str(), kBlameSchema);
     EXPECT_EQ(report["source"].str(), "ssn");

@@ -7,15 +7,11 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "arch/chip.hh"
-#include "net/network.hh"
 #include "prof/report.hh"
-#include "ssn/schedule_trace.hh"
-#include "ssn/scheduler.hh"
+#include "runtime/machine.hh"
 
 namespace tsm {
 namespace {
@@ -28,8 +24,6 @@ namespace {
 void
 runScenario(ProfileCollector &prof)
 {
-    const Topology topo = Topology::makeNode();
-    SsnScheduler scheduler(topo);
     std::vector<TensorTransfer> transfers;
     for (unsigned f = 0; f < 4; ++f) {
         TensorTransfer t;
@@ -39,28 +33,9 @@ runScenario(ProfileCollector &prof)
         t.vectors = 8;
         transfers.push_back(t);
     }
-    const auto schedule = scheduler.schedule(transfers);
-    prof.setBench("profiler_test");
-    prof.setSeed(1);
-    prof.setSchedule(schedule, topo, transfers);
-
-    EventQueue eq;
-    eq.tracer().addSink(&prof.sink());
-    traceSchedule(eq.tracer(), schedule);
-    Network net(topo, eq, Rng(1));
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-    auto programs = buildPrograms(schedule, topo);
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        chips[t]->setStream(0, makeVec(Vec(1.0f)));
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
-    eq.tracer().removeSink(&prof.sink());
-    prof.sink().finish();
+    const auto compiled = compileTransfers(Topology::makeNode(), transfers);
+    Machine(compiled.value(), 1).run({&prof}, "profiler_test");
+    prof.finish();
 }
 
 TEST(Profiler, AttributionSumsToSpan)

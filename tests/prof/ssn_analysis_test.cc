@@ -10,15 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
-#include "arch/chip.hh"
-#include "net/network.hh"
 #include "prof/report.hh"
 #include "prof/ssn_analysis.hh"
 #include "prof/whatif.hh"
-#include "ssn/scheduler.hh"
+#include "runtime/machine.hh"
 
 namespace tsm {
 namespace {
@@ -125,11 +122,11 @@ TEST(SsnAnalysis, ContendedFanInStaysExact)
  */
 TEST(SsnAnalysis, PredictionMatchesSimulationOnContentionFreeRun)
 {
-    const Topology topo = Topology::makeNode();
-    SsnScheduler scheduler(topo);
     const std::vector<TensorTransfer> transfers = {
         makeTransfer(1, 0, 1, 1), makeTransfer(2, 2, 3, 1)};
-    const auto sched = scheduler.schedule(transfers);
+    const auto compiled = compileTransfers(Topology::makeNode(), transfers);
+    const Topology &topo = compiled.value().topo;
+    const NetworkSchedule &sched = compiled->schedule;
 
     ProfileCollector prof;
     prof.setBench("ssn_analysis_test");
@@ -138,21 +135,9 @@ TEST(SsnAnalysis, PredictionMatchesSimulationOnContentionFreeRun)
     ASSERT_TRUE(prof.analysis().has_value());
     EXPECT_TRUE(prof.analysis()->contentionFree);
 
-    EventQueue eq;
-    eq.tracer().addSink(&prof.sink());
-    Network net(topo, eq, Rng(1));
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-    auto programs = buildPrograms(sched, topo);
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        chips[t]->setStream(0, makeVec(Vec(1.0f)));
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
-    eq.tracer().removeSink(&prof.sink());
+    Machine machine(*compiled, 1);
+    machine.eventq().tracer().addSink(&prof.sink());
+    machine.run();
     prof.sink().finish();
 
     ASSERT_GT(prof.sink().recvEvents(), 0u);

@@ -16,15 +16,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 #include <string_view>
 #include <vector>
 
-#include "arch/chip.hh"
-#include "net/network.hh"
 #include "prof/profiler.hh"
-#include "sim/event_queue.hh"
-#include "ssn/scheduler.hh"
+#include "runtime/machine.hh"
 #include "trace/span.hh"
 #include "trace/trace.hh"
 
@@ -56,32 +52,11 @@ runScheduled(const std::vector<TensorTransfer> &transfers,
              std::uint64_t seed, double mbe_rate, RecordingSink &rec,
              ProfilerSink &prof)
 {
-    const Topology topo = Topology::makeNode();
-    SsnScheduler scheduler(topo);
-    const auto sched = scheduler.schedule(transfers);
-
-    EventQueue eq;
-    eq.tracer().addSink(&rec);
-    eq.tracer().addSink(&prof);
-    Network net(topo, eq, Rng(seed));
-    if (mbe_rate > 0.0) {
-        ErrorModel errors;
-        errors.mbePerVector = mbe_rate;
-        net.setErrorModel(errors);
-    }
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-    auto programs = buildPrograms(sched, topo);
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        chips[t]->setStream(0, makeVec(Vec(1.0f)));
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
-    eq.tracer().removeSink(&rec);
-    eq.tracer().removeSink(&prof);
+    const auto compiled = compileTransfers(Topology::makeNode(), transfers);
+    Machine machine(compiled.value(), seed, mbe_rate);
+    machine.eventq().tracer().addSink(&rec);
+    machine.eventq().tracer().addSink(&prof);
+    machine.run();
     prof.finish();
 }
 

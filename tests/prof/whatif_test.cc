@@ -113,11 +113,10 @@ TEST(WhatIfEngine, ZeroMagnitudeIsNoOpOnEveryCheckedInScenario)
         std::string error;
         ASSERT_TRUE(loadScenarioFile(path, scenario, &error))
             << path << ": " << error;
-        const Topology topo = scenario.topology.build();
-        const LoweredScenario lowered = lowerScenario(scenario, topo);
-        SsnScheduler scheduler(topo, scenario.ssn);
-        const auto sched = scheduler.schedule(lowered.transfers);
-        const WhatIfEngine engine(sched, topo, lowered.transfers);
+        const auto compiled = compileScenario(scenario, &error);
+        ASSERT_TRUE(compiled) << path << ": " << error;
+        const WhatIfEngine engine(compiled->schedule, compiled->topo,
+                                  compiled->lowered.transfers);
 
         std::string why;
         EXPECT_TRUE(engine.identityExact(&why)) << name << ": " << why;

@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
 
-#include "arch/chip.hh"
 #include "common/rng.hh"
+#include "runtime/machine.hh"
 #include "ssn/deadlock.hh"
 #include "ssn/scheduler.hh"
 
@@ -70,36 +69,23 @@ TEST_P(SchedulerFuzz, ScheduleExecutesOnChipsWithoutPanic)
     // scheduler (missed window, underflow, tag mismatch) panics.
     Rng rng(GetParam() ^ 0xabcd);
     const Topology topo = Topology::makeNode();
-    SsnScheduler scheduler(topo);
     const auto transfers = randomTransfers(rng, topo.numTsps(), 6, 24);
-    const auto sched = scheduler.schedule(transfers);
-
-    EventQueue eq;
-    Network net(topo, eq, Rng(GetParam()));
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-    auto programs = buildPrograms(sched, topo);
+    const auto compiled = compileTransfers(topo, transfers);
+    Machine machine(compiled.value(), GetParam());
     std::uint64_t expected_rx = 0;
     for (const auto &t : transfers)
         expected_rx += t.vectors;
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        chips[t]->setStream(0, makeVec(Vec(float(t))));
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
+    machine.run();
 
     std::uint64_t delivered = 0;
-    for (const auto &c : chips)
-        delivered += c->stats().flitsReceived;
+    for (TspId t = 0; t < topo.numTsps(); ++t)
+        delivered += machine.chip(t).stats().flitsReceived;
     // Receptions include intermediate-hop forwards, so >= final
     // deliveries; final deliveries are bounded below by the transfer
     // volume.
     EXPECT_GE(delivered, expected_rx);
-    for (const auto &c : chips)
-        EXPECT_TRUE(c->halted());
+    for (TspId t = 0; t < topo.numTsps(); ++t)
+        EXPECT_TRUE(machine.chip(t).halted());
 }
 
 TEST_P(SchedulerFuzz, MakespanBoundedByMinimalOnlySerialization)
@@ -175,26 +161,12 @@ TEST(SchedulerCrossTopology, CrossNodeSchedulesExecuteOnChips)
     const Topology topo = Topology::makeSingleLevel(2);
     for (std::uint64_t seed : {1ull, 9ull}) {
         Rng rng(seed);
-        SsnScheduler scheduler(topo);
         const auto transfers = randomTransfers(rng, topo.numTsps(), 4, 8);
-        const auto sched = scheduler.schedule(transfers);
-
-        EventQueue eq;
-        Network net(topo, eq, Rng(seed));
-        std::vector<std::unique_ptr<TspChip>> chips;
+        const auto compiled = compileTransfers(topo, transfers);
+        Machine machine(compiled.value(), seed);
+        machine.run();
         for (TspId t = 0; t < topo.numTsps(); ++t)
-            chips.push_back(
-                std::make_unique<TspChip>(t, net, DriftClock()));
-        auto programs = buildPrograms(sched, topo);
-        for (TspId t = 0; t < topo.numTsps(); ++t) {
-            chips[t]->setStream(0, makeVec(Vec(float(t))));
-            programs.byChip[t].emitHalt();
-            chips[t]->load(std::move(programs.byChip[t]));
-            chips[t]->start(0);
-        }
-        eq.run();
-        for (const auto &c : chips)
-            EXPECT_TRUE(c->halted()) << "seed " << seed;
+            EXPECT_TRUE(machine.chip(t).halted()) << "seed " << seed;
     }
 }
 

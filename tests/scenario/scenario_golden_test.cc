@@ -14,12 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "prof/report.hh"
-#include "runtime/traced_scenario.hh"
+#include "runtime/machine.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
-#include "telemetry/progress.hh"
-#include "telemetry/timeline.hh"
 #include "trace/journal.hh"
 
 namespace tsm {
@@ -53,9 +50,9 @@ journalOfTransfers(const Topology &topo,
 {
     std::ostringstream text;
     JournalSink sink(text);
-    TraceSession inactive;
-    runScheduledScenario(inactive, topo, transfers, bench, seed, 0.0,
-                         ssn, {&sink});
+    const auto compiled = compileTransfers(topo, transfers, ssn);
+    Machine(compiled.value(), seed).run({&sink}, bench);
+    sink.finish();
     return text.str();
 }
 

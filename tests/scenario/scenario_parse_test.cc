@@ -4,14 +4,18 @@
  * class in ISSUE's checklist — unknown keys, out-of-range chip ids,
  * overlapping flow ids, zero-length tensors, malformed documents —
  * must fail with a distinct, actionable message (all prefixed
- * "scenario: " so bench loaders can print them verbatim and exit 2).
+ * "scenario: " so bench loaders can print them verbatim and exit 2) —
+ * and scenarios built in code get the same diagnoses back from the
+ * run entry points instead of aborting.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "scenario/runner.hh"
 #include "scenario/scenario.hh"
+#include "trace/session.hh"
 
 namespace tsm {
 namespace {
@@ -306,6 +310,53 @@ TEST(ScenarioParse, DistinctMessagesPerDefectClass)
     EXPECT_NE(range, overlap);
     EXPECT_NE(range, zero);
     EXPECT_NE(overlap, zero);
+}
+
+/** One explicit flow on the default 8-TSP node, built in code. */
+Scenario
+codeBuiltScenario(TspId src, TspId dst)
+{
+    Scenario sc;
+    sc.name = "code_built";
+    sc.flows.emplace_back();
+    sc.flows[0].id = 1;
+    sc.flows[0].src = src;
+    sc.flows[0].dst = dst;
+    sc.flows[0].tensor.vectors = 4;
+    return sc;
+}
+
+/** Both run entry points return the diagnosis instead of aborting. */
+void
+expectDiagnosed(const Scenario &sc, const std::string &needle)
+{
+    const ScenarioExecution exec = executeScenario(sc);
+    EXPECT_NE(exec.error.find(needle), std::string::npos) << exec.error;
+    EXPECT_TRUE(exec.journal.empty());
+
+    TraceSession session;
+    const ScenarioRunResult run = runScenario(session, sc);
+    EXPECT_EQ(run.error, exec.error);
+    EXPECT_EQ(run.flitsDelivered, 0u);
+}
+
+TEST(ScenarioCompile, TransferToSelfIsDiagnosedNotAborted)
+{
+    expectDiagnosed(codeBuiltScenario(2, 2), "src == dst");
+}
+
+TEST(ScenarioCompile, OutOfRangeChipIsDiagnosedNotAborted)
+{
+    expectDiagnosed(codeBuiltScenario(0, 99), "dst chip 99 out of range");
+}
+
+TEST(ScenarioCompile, HandBuiltTransferToSelfIsDiagnosed)
+{
+    const TensorTransfer self{.flow = 1, .src = 3, .dst = 3, .vectors = 1};
+    std::string error;
+    EXPECT_FALSE(compileTransfers(Topology::makeNode(), {self}, {}, &error));
+    EXPECT_NE(error.find("does not cross a link"), std::string::npos)
+        << error;
 }
 
 } // namespace

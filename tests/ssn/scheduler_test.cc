@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "arch/chip.hh"
+#include "runtime/machine.hh"
 #include "ssn/deadlock.hh"
 #include "ssn/scheduler.hh"
 
@@ -132,33 +131,21 @@ TEST(SsnScheduler, ManyToOneIncast)
 TEST(SsnSchedulerProgram, EndToEndDataDelivery)
 {
     // schedule -> buildPrograms -> run on real chips -> verify memory.
-    const Topology topo = Topology::makeNode();
-    EventQueue eq;
-    Network net(topo, eq, Rng(1));
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-
-    SsnScheduler sched(topo, {.loadBalance = false}); // single path
-    const auto s = sched.schedule({makeTransfer(1, 2, 5, 3)});
-
     std::unordered_map<FlowId, LocalAddr> dst_base;
     dst_base[1] = LocalAddr::unflatten(100);
-    auto programs = buildPrograms(s, topo, dst_base);
+    const auto compiled =
+        compileTransfers(Topology::makeNode(), {makeTransfer(1, 2, 5, 3)},
+                         {.loadBalance = false}, nullptr, dst_base);
+    Machine machine(compiled.value(), 1);
 
     // Preload the source's stream 0 with a recognizable payload.
-    chips[2]->setStream(0, makeVec(Vec(6.5f)));
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
+    machine.chip(2).setStream(0, makeVec(Vec(6.5f)));
+    machine.run();
 
     for (std::uint32_t seq = 0; seq < 3; ++seq) {
         const auto addr = LocalAddr::unflatten(100 + seq);
-        ASSERT_TRUE(chips[5]->mem().present(addr)) << "seq " << seq;
-        EXPECT_EQ((*chips[5]->mem().read(addr))[0], 6.5f);
+        ASSERT_TRUE(machine.chip(5).mem().present(addr)) << "seq " << seq;
+        EXPECT_EQ((*machine.chip(5).mem().read(addr))[0], 6.5f);
     }
 }
 
@@ -167,33 +154,22 @@ TEST(SsnSchedulerProgram, MultiHopForwardingDelivers)
     // Force a 2-hop route by saturating: large transfer spreads over
     // non-minimal paths; every vector must still arrive uncorrupted
     // and on time (the chips panic otherwise).
-    const Topology topo = Topology::makeNode();
-    EventQueue eq;
-    Network net(topo, eq, Rng(2));
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-
-    SsnScheduler sched(topo);
     const std::uint32_t n = 64;
-    const auto s = sched.schedule({makeTransfer(1, 0, 7, n)});
+    const auto compiled =
+        compileTransfers(Topology::makeNode(), {makeTransfer(1, 0, 7, n)});
+    const NetworkSchedule &s = compiled.value().schedule;
     EXPECT_GT(s.flows.at(1).pathsUsed, 1u);
 
-    auto programs = buildPrograms(s, topo);
-    chips[0]->setStream(0, makeVec(Vec(1.0f)));
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
-    EXPECT_EQ(chips[7]->stats().flitsReceived, n);
-    EXPECT_EQ(chips[7]->stats().corruptReceived, 0u);
+    Machine machine(*compiled, 2);
+    machine.run();
+    TspChip &dst = machine.chip(7);
+    EXPECT_EQ(dst.stats().flitsReceived, n);
+    EXPECT_EQ(dst.stats().corruptReceived, 0u);
 
     // The simulated arrival matches the schedule's makespan: the
     // compiler knows timing "to the clock cycle" (paper §4).
     const Cycle halt_cycle =
-        chips[7]->clock().tickToCycle(chips[7]->stats().haltTick);
+        dst.clock().tickToCycle(dst.stats().haltTick);
     EXPECT_GE(halt_cycle, s.makespan);
     EXPECT_LE(halt_cycle, s.makespan + 64);
 }
@@ -202,26 +178,13 @@ TEST(SsnSchedulerProgram, SimulationMatchesScheduledArrivals)
 {
     // Each individual vector's simulated arrival tick equals the
     // scheduled arrival cycle (within the rx margin).
-    const Topology topo = Topology::makeNode();
-    EventQueue eq;
-    Network net(topo, eq, Rng(3));
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-
-    SsnScheduler sched(topo, {.loadBalance = false});
-    const auto s = sched.schedule({makeTransfer(1, 0, 4, 10)});
-    auto programs = buildPrograms(s, topo);
-    chips[0]->setStream(0, makeVec(Vec(2.0f)));
-
-    // Intercept arrivals at the destination.
-    std::vector<Tick> arrivals;
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
+    const auto compiled = compileTransfers(
+        Topology::makeNode(), {makeTransfer(1, 0, 4, 10)},
+        {.loadBalance = false});
+    const NetworkSchedule &s = compiled.value().schedule;
+    Machine machine(*compiled, 3);
+    machine.chip(0).setStream(0, makeVec(Vec(2.0f)));
+    machine.run();
 
     // Verify the schedule's prediction for the last vector.
     const DriftClock clk;

@@ -10,15 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "arch/chip.hh"
-#include "net/network.hh"
 #include "prof/profiler.hh"
+#include "runtime/machine.hh"
 #include "ssn/schedule_trace.hh"
-#include "ssn/scheduler.hh"
 #include "telemetry/phase.hh"
 #include "telemetry/timeline.hh"
 
@@ -198,8 +195,6 @@ void
 runScenario(ProfilerSink &prof, TimelineSampler &timeline,
             std::uint64_t seed = 1)
 {
-    const Topology topo = Topology::makeNode();
-    SsnScheduler scheduler(topo);
     std::vector<TensorTransfer> transfers;
     for (unsigned f = 0; f < 4; ++f) {
         TensorTransfer t;
@@ -209,26 +204,14 @@ runScenario(ProfilerSink &prof, TimelineSampler &timeline,
         t.vectors = 8;
         transfers.push_back(t);
     }
-    const auto schedule = scheduler.schedule(transfers);
+    const auto compiled = compileTransfers(Topology::makeNode(), transfers);
 
-    EventQueue eq;
-    eq.tracer().addSink(&prof);
-    eq.tracer().addSink(&timeline);
-    traceSchedule(eq.tracer(), schedule);
-    Network net(topo, eq, Rng(seed));
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-    auto programs = buildPrograms(schedule, topo);
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        chips[t]->setStream(0, makeVec(Vec(1.0f)));
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
-    eq.tracer().removeSink(&prof);
-    eq.tracer().removeSink(&timeline);
+    Machine machine(compiled.value(), seed);
+    Tracer &tracer = machine.eventq().tracer();
+    tracer.addSink(&prof);
+    tracer.addSink(&timeline);
+    traceSchedule(tracer, compiled->schedule);
+    machine.run();
     prof.finish();
     timeline.finish();
 }

@@ -6,10 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "arch/chip.hh"
-#include "net/network.hh"
-#include "sim/event_queue.hh"
-#include "ssn/scheduler.hh"
+#include "runtime/machine.hh"
 #include "trace/journal.hh"
 #include "trace/span.hh"
 
@@ -109,8 +106,6 @@ TEST(ReadJournal, RoundTripsThroughAFile)
 void
 runScenario(std::ostream &os, std::uint64_t seed, double mbe_rate)
 {
-    const Topology topo = Topology::makeNode();
-    SsnScheduler scheduler(topo);
     std::vector<TensorTransfer> transfers;
     for (unsigned f = 0; f < 2; ++f) {
         TensorTransfer t;
@@ -120,29 +115,12 @@ runScenario(std::ostream &os, std::uint64_t seed, double mbe_rate)
         t.vectors = 8;
         transfers.push_back(t);
     }
-    const auto sched = scheduler.schedule(transfers);
+    const auto compiled = compileTransfers(Topology::makeNode(), transfers);
 
-    EventQueue eq;
     JournalSink sink(os);
-    eq.tracer().addSink(&sink);
-    Network net(topo, eq, Rng(seed));
-    if (mbe_rate > 0.0) {
-        ErrorModel errors;
-        errors.mbePerVector = mbe_rate;
-        net.setErrorModel(errors);
-    }
-    std::vector<std::unique_ptr<TspChip>> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t)
-        chips.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-    auto programs = buildPrograms(sched, topo);
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        chips[t]->setStream(0, makeVec(Vec(1.0f)));
-        programs.byChip[t].emitHalt();
-        chips[t]->load(std::move(programs.byChip[t]));
-        chips[t]->start(0);
-    }
-    eq.run();
-    eq.tracer().removeSink(&sink);
+    Machine machine(compiled.value(), seed, mbe_rate);
+    machine.eventq().tracer().addSink(&sink);
+    machine.run();
     sink.finish();
 }
 

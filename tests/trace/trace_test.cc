@@ -299,37 +299,6 @@ TEST(EventQueueTracing, DefaultMaskSinkSkipsDispatches)
     eq.tracer().removeSink(&sink);
 }
 
-TEST(TraceOptions, FromArgsStripsRecognized)
-{
-    const char *raw[] = {"prog", "--trace=/tmp/t.json", "--keep",
-                         "--metrics", "--digest", "positional"};
-    std::vector<char *> argv;
-    for (const char *a : raw)
-        argv.push_back(const_cast<char *>(a));
-    int argc = int(argv.size());
-
-    const TraceOptions opts = TraceOptions::fromArgs(argc, argv.data());
-    EXPECT_EQ(opts.tracePath, "/tmp/t.json");
-    EXPECT_TRUE(opts.metrics);
-    EXPECT_TRUE(opts.digest);
-    ASSERT_EQ(argc, 3);
-    EXPECT_STREQ(argv[0], "prog");
-    EXPECT_STREQ(argv[1], "--keep");
-    EXPECT_STREQ(argv[2], "positional");
-}
-
-TEST(TraceOptions, FromArgsDefaults)
-{
-    const char *raw[] = {"prog"};
-    std::vector<char *> argv{const_cast<char *>(raw[0])};
-    int argc = 1;
-    const TraceOptions opts = TraceOptions::fromArgs(argc, argv.data());
-    EXPECT_TRUE(opts.tracePath.empty());
-    EXPECT_FALSE(opts.metrics);
-    EXPECT_FALSE(opts.digest);
-    EXPECT_EQ(argc, 1);
-}
-
 TEST(TraceSession, AttachDetachAcrossQueues)
 {
     TraceOptions opts;

@@ -13,8 +13,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "common/cli.hh"
 #include "common/version.hh"
@@ -31,21 +29,11 @@ namespace {
 bool
 loadJson(const char *path, tsm::Json *doc)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
-        std::fprintf(stderr, "tsm_bench_diff: cannot open %s\n", path);
-        return false;
-    }
-    std::ostringstream text;
-    text << f.rdbuf();
     std::string error;
-    *doc = tsm::Json::parse(text.str(), &error);
-    if (doc->isNull()) {
-        std::fprintf(stderr, "tsm_bench_diff: %s: %s\n", path,
-                     error.c_str());
-        return false;
-    }
-    return true;
+    *doc = tsm::readDocument(path, nullptr, &error);
+    if (doc->isNull())
+        std::fprintf(stderr, "tsm_bench_diff: %s\n", error.c_str());
+    return !doc->isNull();
 }
 
 } // namespace

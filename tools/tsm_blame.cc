@@ -19,12 +19,11 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "common/cli.hh"
 #include "common/version.hh"
 #include "prof/blame.hh"
+#include "prof/report.hh"
 #include "telemetry/contention.hh"
 
 int
@@ -64,27 +63,11 @@ main(int argc, char **argv)
     int checkFailures = 0;
     for (int i = 1; i < argc; ++i) {
         const char *path = argv[i];
-        std::ifstream f(path, std::ios::binary);
-        if (!f) {
-            std::fprintf(stderr, "tsm_blame: cannot open %s\n", path);
-            ++ioFailures;
-            continue;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
         std::string error;
-        const tsm::Json blame = tsm::Json::parse(text.str(), &error);
+        const tsm::Json blame =
+            tsm::readDocument(path, tsm::kBlameSchema, &error);
         if (blame.isNull()) {
-            std::fprintf(stderr, "tsm_blame: %s: %s\n", path,
-                         error.c_str());
-            ++ioFailures;
-            continue;
-        }
-        if (!blame.has("schema") ||
-            blame["schema"].kind() != tsm::Json::Kind::String ||
-            blame["schema"].str() != tsm::kBlameSchema) {
-            std::fprintf(stderr, "tsm_blame: %s: not a %s document\n",
-                         path, tsm::kBlameSchema);
+            std::fprintf(stderr, "tsm_blame: %s\n", error.c_str());
             ++ioFailures;
             continue;
         }

@@ -86,6 +86,8 @@ check(const Scenario &sc, const Invariants &which,
     if (which.journal || which.waterfall || which.blame ||
         which.lanes) {
         const ScenarioExecution first = executeScenario(sc, {}, hp);
+        if (!first.error.empty())
+            return "compile";
         if (which.waterfall &&
             (!first.allSpansClosed() || !first.waterfallsExact()))
             return "waterfall";

@@ -10,12 +10,11 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "common/cli.hh"
 #include "common/version.hh"
 #include "hostprof/hostprof.hh"
+#include "prof/report.hh"
 
 int
 main(int argc, char **argv)
@@ -43,26 +42,11 @@ main(int argc, char **argv)
     int failures = 0;
     for (int i = 1; i < argc; ++i) {
         const char *path = argv[i];
-        std::ifstream f(path, std::ios::binary);
-        if (!f) {
-            std::fprintf(stderr, "tsm_hotspot: cannot open %s\n", path);
-            ++failures;
-            continue;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
         std::string error;
-        const tsm::Json doc = tsm::Json::parse(text.str(), &error);
+        const tsm::Json doc =
+            tsm::readDocument(path, tsm::kHostprofSchema, &error);
         if (doc.isNull()) {
-            std::fprintf(stderr, "tsm_hotspot: %s: %s\n", path,
-                         error.c_str());
-            ++failures;
-            continue;
-        }
-        if (!doc.has("schema") ||
-            doc["schema"].str() != tsm::kHostprofSchema) {
-            std::fprintf(stderr, "tsm_hotspot: %s: not a %s document\n",
-                         path, tsm::kHostprofSchema);
+            std::fprintf(stderr, "tsm_hotspot: %s\n", error.c_str());
             ++failures;
             continue;
         }

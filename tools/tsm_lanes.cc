@@ -23,12 +23,11 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "common/cli.hh"
 #include "common/version.hh"
 #include "prof/lanes.hh"
+#include "prof/report.hh"
 
 int
 main(int argc, char **argv)
@@ -74,27 +73,11 @@ main(int argc, char **argv)
     int checkFailures = 0;
     for (int i = 1; i < argc; ++i) {
         const char *path = argv[i];
-        std::ifstream f(path, std::ios::binary);
-        if (!f) {
-            std::fprintf(stderr, "tsm_lanes: cannot open %s\n", path);
-            ++ioFailures;
-            continue;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
         std::string error;
-        const tsm::Json lanes = tsm::Json::parse(text.str(), &error);
+        const tsm::Json lanes =
+            tsm::readDocument(path, tsm::kLanesSchema, &error);
         if (lanes.isNull()) {
-            std::fprintf(stderr, "tsm_lanes: %s: %s\n", path,
-                         error.c_str());
-            ++ioFailures;
-            continue;
-        }
-        if (!lanes.has("schema") ||
-            lanes["schema"].kind() != tsm::Json::Kind::String ||
-            lanes["schema"].str() != tsm::kLanesSchema) {
-            std::fprintf(stderr, "tsm_lanes: %s: not a %s document\n",
-                         path, tsm::kLanesSchema);
+            std::fprintf(stderr, "tsm_lanes: %s\n", error.c_str());
             ++ioFailures;
             continue;
         }

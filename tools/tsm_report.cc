@@ -19,8 +19,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "common/cli.hh"
 #include "common/version.hh"
@@ -58,66 +56,29 @@ main(int argc, char **argv)
     }
 
     int failures = 0;
-    tsm::Json host;
-    if (!hostprofPath.empty()) {
-        std::ifstream f(hostprofPath, std::ios::binary);
-        std::ostringstream text;
+    // A companion document that fails to load is reported and
+    // skipped; the reports still render without its footer.
+    auto companion = [&failures](const std::string &path,
+                                 const char *schema) {
+        if (path.empty())
+            return tsm::Json();
         std::string error;
-        if (f)
-            text << f.rdbuf();
-        if (f)
-            host = tsm::Json::parse(text.str(), &error);
-        if (host.isNull() || !host.has("schema") ||
-            host["schema"].str() != tsm::kHostprofSchema) {
-            std::fprintf(stderr, "tsm_report: %s: not a readable %s "
-                         "document\n",
-                         hostprofPath.c_str(), tsm::kHostprofSchema);
-            host = tsm::Json();
+        tsm::Json doc = tsm::readDocument(path, schema, &error);
+        if (doc.isNull()) {
+            std::fprintf(stderr, "tsm_report: %s\n", error.c_str());
             ++failures;
         }
-    }
-    tsm::Json blame;
-    if (!blamePath.empty()) {
-        std::ifstream f(blamePath, std::ios::binary);
-        std::ostringstream text;
-        std::string error;
-        if (f)
-            text << f.rdbuf();
-        if (f)
-            blame = tsm::Json::parse(text.str(), &error);
-        if (blame.isNull() || !blame.has("schema") ||
-            blame["schema"].kind() != tsm::Json::Kind::String ||
-            blame["schema"].str() != tsm::kBlameSchema) {
-            std::fprintf(stderr, "tsm_report: %s: not a readable %s "
-                         "document\n",
-                         blamePath.c_str(), tsm::kBlameSchema);
-            blame = tsm::Json();
-            ++failures;
-        }
-    }
+        return doc;
+    };
+    const tsm::Json host = companion(hostprofPath, tsm::kHostprofSchema);
+    const tsm::Json blame = companion(blamePath, tsm::kBlameSchema);
     for (int i = 1; i < argc; ++i) {
         const char *path = argv[i];
-        std::ifstream f(path, std::ios::binary);
-        if (!f) {
-            std::fprintf(stderr, "tsm_report: cannot open %s\n", path);
-            ++failures;
-            continue;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
         std::string error;
-        const tsm::Json report = tsm::Json::parse(text.str(), &error);
+        const tsm::Json report =
+            tsm::readDocument(path, tsm::kProfileSchema, &error);
         if (report.isNull()) {
-            std::fprintf(stderr, "tsm_report: %s: %s\n", path,
-                         error.c_str());
-            ++failures;
-            continue;
-        }
-        if (!report.has("schema") ||
-            report["schema"].str() != tsm::kProfileSchema) {
-            std::fprintf(stderr,
-                         "tsm_report: %s: not a %s document\n", path,
-                         tsm::kProfileSchema);
+            std::fprintf(stderr, "tsm_report: %s\n", error.c_str());
             ++failures;
             continue;
         }

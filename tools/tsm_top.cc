@@ -19,13 +19,12 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "common/cli.hh"
 #include "common/version.hh"
 #include "hostprof/hostprof.hh"
 #include "prof/blame.hh"
+#include "prof/report.hh"
 #include "telemetry/contention.hh"
 #include "telemetry/render.hh"
 #include "telemetry/timeline.hh"
@@ -36,26 +35,11 @@ namespace {
 tsm::Json
 loadHostprof(const std::string &path, const char *tool)
 {
-    std::ifstream f(path, std::ios::binary);
-    if (!f) {
-        std::fprintf(stderr, "%s: cannot open %s\n", tool, path.c_str());
-        return tsm::Json();
-    }
-    std::ostringstream text;
-    text << f.rdbuf();
     std::string error;
-    const tsm::Json doc = tsm::Json::parse(text.str(), &error);
-    if (doc.isNull()) {
-        std::fprintf(stderr, "%s: %s: %s\n", tool, path.c_str(),
-                     error.c_str());
-        return tsm::Json();
-    }
-    if (!doc.has("schema") ||
-        doc["schema"].str() != tsm::kHostprofSchema) {
-        std::fprintf(stderr, "%s: %s: not a %s document\n", tool,
-                     path.c_str(), tsm::kHostprofSchema);
-        return tsm::Json();
-    }
+    const tsm::Json doc =
+        tsm::readDocument(path, tsm::kHostprofSchema, &error);
+    if (doc.isNull())
+        std::fprintf(stderr, "%s: %s\n", tool, error.c_str());
     return doc;
 }
 
@@ -92,18 +76,10 @@ main(int argc, char **argv)
     int failures = 0;
     for (int i = 1; i < argc; ++i) {
         const char *path = argv[i];
-        std::ifstream f(path, std::ios::binary);
-        if (!f) {
-            std::fprintf(stderr, "tsm_top: cannot open %s\n", path);
-            ++failures;
-            continue;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
         std::string error;
-        const tsm::Json timeline = tsm::Json::parse(text.str(), &error);
+        const tsm::Json timeline = tsm::readDocument(path, nullptr, &error);
         if (timeline.isNull()) {
-            std::fprintf(stderr, "tsm_top: %s: %s\n", path, error.c_str());
+            std::fprintf(stderr, "tsm_top: %s\n", error.c_str());
             ++failures;
             continue;
         }

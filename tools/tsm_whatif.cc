@@ -12,7 +12,7 @@
  * can never be rendered as if it were sound.
  *
  * --check=SCENARIO.json switches to validation mode: the scenario is
- * scheduled from scratch, the what-if engine's projections are
+ * compiled once, the what-if engine's projections are
  * recomputed, and the top-N counterfactuals are *re-simulated* on a
  * network with the actually-perturbed wire timing. Three gates:
  *
@@ -30,17 +30,16 @@
  */
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/cli.hh"
 #include "common/version.hh"
 #include "prof/whatif.hh"
+#include "prof/report.hh"
 #include "runtime/counterfactual.hh"
 #include "scenario/scenario.hh"
-#include "ssn/scheduler.hh"
 
 namespace {
 
@@ -58,14 +57,19 @@ runCheck(const std::string &path, unsigned top, double factor,
     if (!haveSeed)
         seed = scenario.seed;
 
-    tsm::Topology topo = scenario.topology.build();
-    tsm::LoweredScenario lowered = tsm::lowerScenario(scenario, topo);
-    tsm::SsnScheduler scheduler(topo, scenario.ssn);
-    tsm::NetworkSchedule sched = scheduler.schedule(lowered.transfers);
-    tsm::WhatIfEngine engine(sched, topo, lowered.transfers);
+    const std::optional<tsm::CompiledScenario> compiled =
+        tsm::compileScenario(scenario, &error);
+    if (!compiled) {
+        std::fprintf(stderr, "tsm_whatif: %s: %s\n", path.c_str(),
+                     error.c_str());
+        return 2;
+    }
+    const tsm::Topology &topo = compiled->topo;
+    const tsm::NetworkSchedule &sched = compiled->schedule;
+    tsm::WhatIfEngine engine(sched, topo, compiled->lowered.transfers);
 
     std::printf("%s: %zu flows, %zu vectors, makespan %llu cycles\n",
-                scenario.name.c_str(), lowered.transfers.size(),
+                scenario.name.c_str(), compiled->lowered.transfers.size(),
                 sched.vectors.size(),
                 (unsigned long long)sched.makespan);
 
@@ -206,27 +210,11 @@ main(int argc, char **argv)
     int checkFailures = 0;
     for (int i = 1; i < argc; ++i) {
         const char *path = argv[i];
-        std::ifstream f(path, std::ios::binary);
-        if (!f) {
-            std::fprintf(stderr, "tsm_whatif: cannot open %s\n", path);
-            ++ioFailures;
-            continue;
-        }
-        std::ostringstream text;
-        text << f.rdbuf();
         std::string error;
-        const tsm::Json doc = tsm::Json::parse(text.str(), &error);
+        const tsm::Json doc =
+            tsm::readDocument(path, tsm::kWhatIfSchema, &error);
         if (doc.isNull()) {
-            std::fprintf(stderr, "tsm_whatif: %s: %s\n", path,
-                         error.c_str());
-            ++ioFailures;
-            continue;
-        }
-        if (!doc.has("schema") ||
-            doc["schema"].kind() != tsm::Json::Kind::String ||
-            doc["schema"].str() != tsm::kWhatIfSchema) {
-            std::fprintf(stderr, "tsm_whatif: %s: not a %s document\n",
-                         path, tsm::kWhatIfSchema);
+            std::fprintf(stderr, "tsm_whatif: %s\n", error.c_str());
             ++ioFailures;
             continue;
         }
