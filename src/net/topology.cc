@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <deque>
-#include "common/format.hh"
-#include <functional>
 #include <queue>
 
+#include "common/format.hh"
 #include "common/log.hh"
 
 namespace tsm {
@@ -486,79 +485,109 @@ Topology::minimalPaths(TspId src, TspId dst, unsigned limit) const
     return paths(src, dst, 0, limit);
 }
 
-std::vector<Topology::Path>
-Topology::paths(TspId src, TspId dst, unsigned max_extra_hops,
-                unsigned limit) const
+namespace {
+
+/**
+ * Depth-first enumeration of simple paths of at most `maxLen` hops,
+ * pruned by each TSP's hop distance to the destination (~0u: too far
+ * or unreachable). Stops once `limit` paths are found.
+ */
+struct PathSearch
 {
-    std::vector<Path> result;
-    const unsigned d = distance(src, dst);
-    if (d == ~0u || src == dst)
-        return result;
-    const unsigned max_len = d + max_extra_hops;
+    const Topology &topo;
+    TspId dst;
+    unsigned maxLen;
+    unsigned limit;
+    const std::vector<unsigned> &toDst;
+    std::vector<char> visited;
+    Topology::Path current;
+    std::vector<Topology::Path> result;
 
-    // Distance-to-destination pruning table (BFS from dst).
-    std::vector<unsigned> to_dst(numTsps_, ~0u);
+    void
+    from(TspId at)
     {
-        std::deque<TspId> queue{dst};
-        to_dst[dst] = 0;
-        while (!queue.empty()) {
-            const TspId cur = queue.front();
-            queue.pop_front();
-            for (LinkId l : adj_[cur]) {
-                if (!enabled_[l])
-                    continue;
-                const TspId next = links_[l].peer(cur);
-                if (to_dst[next] == ~0u) {
-                    to_dst[next] = to_dst[cur] + 1;
-                    queue.push_back(next);
-                }
-            }
-        }
-    }
-
-    Path current;
-    std::vector<bool> visited(numTsps_, false);
-    visited[src] = true;
-
-    std::function<void(TspId)> dfs = [&](TspId at) {
         if (result.size() >= limit)
             return;
         if (at == dst) {
             result.push_back(current);
             return;
         }
-        if (current.size() >= max_len)
+        if (current.size() >= maxLen)
             return;
-        for (LinkId l : adj_[at]) {
-            if (!enabled_[l])
+        for (LinkId l : topo.linksAt(at)) {
+            if (!topo.linkEnabled(l))
                 continue;
-            const TspId next = links_[l].peer(at);
+            const TspId next = topo.links()[l].peer(at);
             if (visited[next])
                 continue;
             // Prune paths that cannot reach dst within budget.
-            if (to_dst[next] == ~0u ||
-                current.size() + 1 + to_dst[next] > max_len)
+            if (toDst[next] == ~0u ||
+                current.size() + 1 + toDst[next] > maxLen)
                 continue;
             visited[next] = true;
             current.push_back(l);
-            dfs(next);
+            from(next);
             current.pop_back();
             visited[next] = false;
             if (result.size() >= limit)
                 return;
         }
-    };
-    dfs(src);
+    }
+};
+
+} // namespace
+
+std::vector<Topology::Path>
+Topology::paths(TspId src, TspId dst, unsigned max_extra_hops,
+                unsigned limit) const
+{
+    if (src == dst)
+        return {};
+
+    // Hop distance to dst, one BFS level at a time. Once src turns up
+    // at depth d, a path of at most d + max_extra_hops hops can only
+    // pass through TSPs within d + max_extra_hops - 1 hops of dst (its
+    // first hop leaves src), so labelling stops at that depth. TSPs
+    // left at ~0u are pruned by the search exactly as their true
+    // distance would prune them.
+    std::vector<unsigned> to_dst(numTsps_, ~0u);
+    to_dst[dst] = 0;
+    std::vector<TspId> frontier{dst}, next;
+    unsigned last = ~0u; // deepest level to label, once d is known
+    for (unsigned depth = 0; !frontier.empty() && depth < last; ++depth) {
+        for (TspId cur : frontier) {
+            for (LinkId l : adj_[cur]) {
+                if (!enabled_[l])
+                    continue;
+                const TspId peer = links_[l].peer(cur);
+                if (to_dst[peer] == ~0u) {
+                    to_dst[peer] = depth + 1;
+                    next.push_back(peer);
+                }
+            }
+        }
+        if (last == ~0u && to_dst[src] != ~0u)
+            last = to_dst[src] + max_extra_hops - 1;
+        frontier.swap(next);
+        next.clear();
+    }
+    if (to_dst[src] == ~0u)
+        return {};
+
+    PathSearch search{*this, dst, to_dst[src] + max_extra_hops, limit,
+                      to_dst, std::vector<char>(numTsps_, false), {}, {}};
+    search.visited[src] = true;
+    search.from(src);
 
     // Shortest paths first, then lexicographic by link ids — a stable,
     // deterministic order the scheduler can rely on.
-    std::sort(result.begin(), result.end(),
+    std::sort(search.result.begin(), search.result.end(),
               [](const Path &x, const Path &y) {
                   if (x.size() != y.size())
                       return x.size() < y.size();
                   return x < y;
               });
-    return result;
+    return std::move(search.result);
 }
 
 Tick

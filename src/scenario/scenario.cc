@@ -693,6 +693,8 @@ compileTransfers(Topology topo, std::vector<TensorTransfer> transfers,
 
     SsnScheduler scheduler(out.topo, ssn);
     out.schedule = scheduler.schedule(out.lowered.transfers);
+    if (!checkSchedule(out.schedule, out.topo, error))
+        return std::nullopt;
     // The machine's stream-register buffering is finite, so a
     // schedulable transfer set can still oversubscribe a chip's
     // forwarding capacity: a diagnosis here, not a simulator panic.
@@ -705,6 +707,17 @@ compileTransfers(Topology topo, std::vector<TensorTransfer> transfers,
         return std::nullopt;
     }
     return out;
+}
+
+bool
+checkSchedule(const NetworkSchedule &schedule, const Topology &topo,
+              std::string *error)
+{
+    const ValidationReport report = validateSchedule(schedule, topo);
+    if (report.ok)
+        return true;
+    return fail(error, "schedule breaks an SSN invariant (" +
+                           report.firstViolation + ")");
 }
 
 bool

@@ -205,10 +205,11 @@ struct CompiledScenario
 /**
  * Compile a scenario: build the topology, check chip-id ranges, self
  * transfers and flow-id uniqueness across all three traffic sources,
- * lower the traffic, schedule it, and build the per-chip programs
- * (which fails when the chips cannot buffer the traffic). Returns
- * nullopt with a distinct message in `*error` per defect class —
- * never aborts on a scenario built in code.
+ * lower the traffic, schedule it, check the schedule (checkSchedule),
+ * and build the per-chip programs (which fails when the chips cannot
+ * buffer the traffic). Returns nullopt with a distinct message in
+ * `*error` per defect class — never aborts on a scenario built in
+ * code.
  */
 std::optional<CompiledScenario> compileScenario(const Scenario &scenario,
                                                 std::string *error);
@@ -217,13 +218,21 @@ std::optional<CompiledScenario> compileScenario(const Scenario &scenario,
  * Compile a hand-built transfer list on `topo` under `ssn`; every
  * transfer is foreground. Destination chips deposit flow f at
  * `dstBase[f]` when given. Fails with a diagnosis on an endpoint
- * outside the topology, a transfer to self, or traffic the chips
- * cannot buffer.
+ * outside the topology, a transfer to self, a schedule that fails
+ * checkSchedule, or traffic the chips cannot buffer.
  */
 std::optional<CompiledScenario> compileTransfers(
     Topology topo, std::vector<TensorTransfer> transfers,
     SsnConfig ssn = {}, std::string *error = nullptr,
     const std::unordered_map<FlowId, LocalAddr> &dstBase = {});
+
+/**
+ * The check every compile runs on the schedule it built:
+ * validateSchedule, with the first violation as the diagnosis in
+ * `*error`.
+ */
+bool checkSchedule(const NetworkSchedule &schedule, const Topology &topo,
+                   std::string *error);
 
 /** Compile and discard: true when compileScenario would succeed. */
 bool validateScenario(const Scenario &scenario, std::string *error);

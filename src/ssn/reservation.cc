@@ -1,5 +1,7 @@
 #include "ssn/reservation.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace tsm {
@@ -11,6 +13,16 @@ ReservationLedger::ReservationLedger(std::size_t num_links,
     TSM_ASSERT(window_cycles > 0, "zero-width serialization window");
 }
 
+std::vector<ReservationLedger::Occupant>::const_iterator
+ReservationLedger::firstEndingAfter(const std::vector<Occupant> &dir,
+                                    Cycle c) const
+{
+    const Cycle lo = c >= window_ ? c - window_ + 1 : 0;
+    return std::lower_bound(
+        dir.begin(), dir.end(), lo,
+        [](const Occupant &o, Cycle v) { return o.start < v; });
+}
+
 Cycle
 ReservationLedger::earliestFree(LinkId link, bool from_a,
                                 Cycle earliest) const
@@ -19,10 +31,10 @@ ReservationLedger::earliestFree(LinkId link, bool from_a,
     Cycle cand = earliest;
     // A window starting at `cand` conflicts with any reservation r
     // with r.start < cand + window and r.start + window > cand.
-    auto it = dir.lower_bound(cand >= window_ ? cand - window_ + 1 : 0);
-    while (it != dir.end() && it->first < cand + window_) {
+    auto it = firstEndingAfter(dir, cand);
+    while (it != dir.end() && it->start < cand + window_) {
         // Overlap: jump past this reservation and re-check.
-        cand = it->first + window_;
+        cand = it->start + window_;
         ++it;
     }
     return cand;
@@ -41,22 +53,27 @@ ReservationLedger::reserve(LinkId link, bool from_a, Cycle start,
     auto &dir = dirs_[index(link, from_a)];
     TSM_ASSERT(free(link, from_a, start),
                "link-cycle conflict: double-booked serialization window");
-    dir.emplace(start, owner);
+    // Reservations arrive nearly in start order: find the slot from
+    // the back.
+    auto pos = dir.end();
+    while (pos != dir.begin() && std::prev(pos)->start > start)
+        --pos;
+    dir.insert(pos, {start, owner});
     ++total_;
     if (start + window_ > horizon_)
         horizon_ = start + window_;
 }
 
-std::vector<ReservationLedger::Occupant>
+std::span<const ReservationLedger::Occupant>
 ReservationLedger::occupantsInRange(LinkId link, bool from_a,
                                     Cycle from, Cycle to) const
 {
-    std::vector<Occupant> out;
     const auto &dir = dirs_[index(link, from_a)];
-    auto it = dir.lower_bound(from >= window_ ? from - window_ + 1 : 0);
-    for (; it != dir.end() && it->first < to; ++it)
-        out.push_back({it->first, it->second});
-    return out;
+    const auto first = firstEndingAfter(dir, from);
+    auto last = first;
+    while (last != dir.end() && last->start < to)
+        ++last;
+    return {first, last};
 }
 
 } // namespace tsm

@@ -17,7 +17,7 @@
 #define TSM_SSN_RESERVATION_HH
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "common/units.hh"
@@ -97,10 +97,11 @@ class ReservationLedger
      * Reserved windows on (link, from_a) overlapping [from, to), in
      * start order. This is the static-blame query: every cycle a
      * vector was pushed past `from` is covered by these occupants
-     * (plus scheduler-issue slots).
+     * (plus scheduler-issue slots). The span views the ledger and is
+     * valid until the next reserve().
      */
-    std::vector<Occupant> occupantsInRange(LinkId link, bool from_a,
-                                           Cycle from, Cycle to) const;
+    std::span<const Occupant> occupantsInRange(LinkId link, bool from_a,
+                                               Cycle from, Cycle to) const;
 
   private:
     std::size_t
@@ -109,8 +110,18 @@ class ReservationLedger
         return std::size_t(link) * 2 + (from_a ? 0 : 1);
     }
 
-    /** start -> owning flow, per direction. */
-    std::vector<std::map<Cycle, FlowId>> dirs_;
+    /**
+     * First occupant of `dir` whose window ends after `c`, i.e. the
+     * first that could overlap a window starting at or after `c`.
+     */
+    std::vector<Occupant>::const_iterator
+    firstEndingAfter(const std::vector<Occupant> &dir, Cycle c) const;
+
+    /**
+     * Occupants per direction, sorted by start. Windows on one
+     * direction are disjoint, so start order is also end order.
+     */
+    std::vector<std::vector<Occupant>> dirs_;
     Cycle window_;
     std::uint64_t total_ = 0;
     Cycle horizon_ = 0;

@@ -54,19 +54,19 @@ spreadVectors(std::uint32_t vectors, const std::vector<PathChoice> &paths,
 }
 
 std::vector<PathChoice>
-toPathChoices(const Topology &topo, const std::vector<Topology::Path> &ps)
+toPathChoices(const Topology &topo, std::vector<Topology::Path> ps)
 {
     std::vector<PathChoice> out;
     out.reserve(ps.size());
-    for (const auto &path : ps) {
+    for (auto &path : ps) {
         PathChoice pc;
-        pc.path = path;
         Cycle lat = 0;
         for (std::size_t h = 0; h < path.size(); ++h) {
             lat += flightCycles(topo.links()[path[h]].cls);
             if (h + 1 < path.size())
                 lat += forwardCycles(); // store-and-forward pipeline
         }
+        pc.path = std::move(path);
         pc.latencyCycles = lat;
         out.push_back(std::move(pc));
     }

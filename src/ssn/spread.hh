@@ -68,7 +68,7 @@ SpreadPlan spreadVectors(std::uint32_t vectors,
  * timing model (flight + forward per intermediate hop).
  */
 std::vector<PathChoice> toPathChoices(const Topology &topo,
-                                      const std::vector<Topology::Path> &ps);
+                                      std::vector<Topology::Path> ps);
 
 } // namespace tsm
 

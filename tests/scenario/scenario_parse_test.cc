@@ -359,5 +359,27 @@ TEST(ScenarioCompile, HandBuiltTransferToSelfIsDiagnosed)
         << error;
 }
 
+TEST(ScenarioCompile, ScheduleBreakingAnInvariantIsDiagnosed)
+{
+    // No known input makes the scheduler emit a bad schedule, so the
+    // check every compile runs is driven with a corrupted copy.
+    const TensorTransfer t{.flow = 1, .src = 0, .dst = 1, .vectors = 2};
+    std::string error;
+    const auto compiled =
+        compileTransfers(Topology::makeNode(), {t}, {}, &error);
+    ASSERT_TRUE(compiled) << error;
+    EXPECT_TRUE(checkSchedule(compiled->schedule, compiled->topo, &error));
+
+    NetworkSchedule bad = compiled->schedule;
+    bad.vectors[1].hops = bad.vectors[0].hops; // both in one window
+    EXPECT_FALSE(checkSchedule(bad, compiled->topo, &error));
+    EXPECT_EQ(error.rfind("scenario: schedule breaks an SSN invariant "
+                          "(flow 1 seq 1: serialization window at cycle 0 "
+                          "on link ",
+                          0),
+              0u)
+        << error;
+}
+
 } // namespace
 } // namespace tsm
