@@ -6,6 +6,24 @@
 
 namespace tsm {
 
+namespace {
+
+/**
+ * Link `l`'s entry in an override map, or nullptr. Outside what-if and
+ * FEC runs no link is overridden, so the hash probe is skipped.
+ */
+template <class T>
+const T *
+findOverride(const std::unordered_map<LinkId, T> &overrides, LinkId l)
+{
+    if (overrides.empty())
+        return nullptr;
+    const auto it = overrides.find(l);
+    return it == overrides.end() ? nullptr : &it->second;
+}
+
+} // namespace
+
 Network::Network(const Topology &topo, EventQueue &eq, const Rng &rng,
                  bool jitter_enabled)
     : topo_(&topo), eventq_(&eq), rng_(rng.fork(0x6e657477)),
@@ -57,9 +75,9 @@ Network::transmit(TspId src, LinkId l, Flit flit, Tick depart)
 
     Tick ser = Tick(kVectorSerializationPs);
     Tick nominal_prop = linkPropagationPs(link.cls);
-    if (auto it = linkTimings_.find(l); it != linkTimings_.end()) {
-        ser = it->second.serializationPs;
-        nominal_prop = it->second.propagationPs;
+    if (const LinkTiming *lt = findOverride(linkTimings_, l)) {
+        ser = lt->serializationPs;
+        nominal_prop = lt->propagationPs;
     }
     dir.txFreeAt = depart + ser;
     dir.occupant = {flit.flow, flit.seq, flit.span, depart};
@@ -70,9 +88,9 @@ Network::transmit(TspId src, LinkId l, Flit flit, Tick depart)
 
     // FEC (paper §4.5): single-bit errors are corrected in situ with no
     // timing impact; multi-bit errors are detected and flagged.
-    const ErrorModel *em = &errorModel_;
-    if (auto it = linkErrorModels_.find(l); it != linkErrorModels_.end())
-        em = &it->second;
+    const ErrorModel *em = findOverride(linkErrorModels_, l);
+    if (!em)
+        em = &errorModel_;
     if (em->sbePerVector > 0.0 && rng_.chance(em->sbePerVector))
         ++st.sbeCorrected;
     if (em->mbePerVector > 0.0 && rng_.chance(em->mbePerVector)) {
@@ -84,18 +102,7 @@ Network::transmit(TspId src, LinkId l, Flit flit, Tick depart)
                                     std::int64_t(flit.seq), flit.span});
     }
 
-    Tick prop = nominal_prop;
-    if (jitterEnabled_) {
-        const double sigma = double(linkJitterPs(link.cls));
-        // Truncate at +-4 sigma; latency can never go below a physical
-        // floor of ~90% of nominal.
-        double noise = rng_.gaussian(0.0, sigma);
-        noise = std::clamp(noise, -4.0 * sigma, 4.0 * sigma);
-        const double floor_ps = 0.9 * double(prop);
-        prop = Tick(std::max(floor_ps, double(prop) + noise));
-    }
-
-    const Tick arrival = depart + ser + prop;
+    const Tick arrival = depart + ser + jittered(link, nominal_prop);
     if (eventq_->tracer().wants(TraceCat::Net))
         eventq_->tracer().emit({depart, arrival - depart, TraceCat::Net, l,
                                 "tx", std::int64_t(flit.flow),
@@ -112,16 +119,9 @@ Network::controlTransmit(TspId src, LinkId l, Flit flit)
     const Link &link = topo_->links()[l];
 
     Tick prop = linkPropagationPs(link.cls);
-    if (auto it = linkTimings_.find(l); it != linkTimings_.end())
-        prop = it->second.propagationPs;
-    if (jitterEnabled_) {
-        const double sigma = double(linkJitterPs(link.cls));
-        double noise = rng_.gaussian(0.0, sigma);
-        noise = std::clamp(noise, -4.0 * sigma, 4.0 * sigma);
-        const double floor_ps = 0.9 * double(prop);
-        prop = Tick(std::max(floor_ps, double(prop) + noise));
-    }
-    const Tick arrival = eventq_->now() + prop;
+    if (const LinkTiming *lt = findOverride(linkTimings_, l))
+        prop = lt->propagationPs;
+    const Tick arrival = eventq_->now() + jittered(link, prop);
     if (eventq_->tracer().wants(TraceCat::Net))
         eventq_->tracer().emit({eventq_->now(), arrival - eventq_->now(),
                                 TraceCat::Net, l, "ctl",
@@ -131,28 +131,55 @@ Network::controlTransmit(TspId src, LinkId l, Flit flit)
     return arrival;
 }
 
+Tick
+Network::jittered(const Link &link, Tick prop)
+{
+    if (!jitterEnabled_)
+        return prop;
+    const double sigma = double(linkJitterPs(link.cls));
+    // Truncate at +-4 sigma; latency can never go below a physical
+    // floor of ~90% of nominal.
+    double noise = rng_.gaussian(0.0, sigma);
+    noise = std::clamp(noise, -4.0 * sigma, 4.0 * sigma);
+    const double floor_ps = 0.9 * double(prop);
+    return Tick(std::max(floor_ps, double(prop) + noise));
+}
+
 void
 Network::deliver(const Link &link, TspId src, LinkId l, Flit flit,
                  Tick arrival)
 {
     const TspId dst = link.peer(src);
-    const unsigned dst_port = link.portAt(dst);
     const SpanId span = flit.span;
+    std::uint32_t idx;
+    if (freeInFlight_.empty()) {
+        idx = std::uint32_t(inFlight_.size());
+        inFlight_.emplace_back();
+    } else {
+        idx = freeInFlight_.back();
+        freeInFlight_.pop_back();
+    }
+    inFlight_[idx] = {{std::move(flit), arrival, l}, dst, link.portAt(dst)};
     eventq_->schedule(
-        arrival,
-        [this, dst, dst_port, l, flit = std::move(flit), arrival] {
-            ArrivedFlit af{flit, arrival, l};
-            if (eventq_->tracer().wants(TraceCat::Net))
-                eventq_->tracer().emit({arrival, 0, TraceCat::Net, l, "rx",
-                                        std::int64_t(af.flit.flow),
-                                        std::int64_t(af.flit.seq),
-                                        af.flit.span});
-            if (sinks_[dst])
-                sinks_[dst]->flitArrived(dst_port, af);
-            else
-                rx_[dst][dst_port].fifo.push_back(af);
-        },
-        span, EventKind::NetDeliver);
+        arrival, [this, idx] { arrive(idx); }, span, EventKind::NetDeliver);
+}
+
+void
+Network::arrive(std::uint32_t idx)
+{
+    // Take the flit and free its slot first: a sink may transmit,
+    // reusing the slot or growing the slab.
+    InFlight f = std::move(inFlight_[idx]);
+    freeInFlight_.push_back(idx);
+    const ArrivedFlit &af = f.af;
+    if (eventq_->tracer().wants(TraceCat::Net))
+        eventq_->tracer().emit({af.arrival, 0, TraceCat::Net, af.via, "rx",
+                                std::int64_t(af.flit.flow),
+                                std::int64_t(af.flit.seq), af.flit.span});
+    if (sinks_[f.dst])
+        sinks_[f.dst]->flitArrived(f.port, af);
+    else
+        rx_[f.dst][f.port].fifo.push_back(std::move(f.af));
 }
 
 Tick

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
@@ -199,12 +200,26 @@ class Network
         std::deque<ArrivedFlit> fifo;
     };
 
+    /** A flit on the wire, waiting for its delivery event. */
+    struct InFlight
+    {
+        ArrivedFlit af;
+        TspId dst = 0;
+        unsigned port = 0;
+    };
+
     /** Index of the direction record for transmits from `src` on `l`. */
     std::size_t dirIndex(LinkId l, TspId src) const;
+
+    /** Link `l`'s propagation delay `prop` plus a jitter draw, if on. */
+    Tick jittered(const Link &link, Tick prop);
 
     /** Schedule delivery of a flit into the peer's sink or rx FIFO. */
     void deliver(const Link &link, TspId src, LinkId l, Flit flit,
                  Tick arrival);
+
+    /** The delivery event of in-flight slot `idx`. */
+    void arrive(std::uint32_t idx);
 
     const Topology *topo_;
     EventQueue *eventq_;
@@ -218,6 +233,14 @@ class Network
     std::vector<LinkStats> stats_;      // 1 per link
     std::vector<std::vector<PortRx>> rx_; // [tsp][port]
     std::vector<FlitSink *> sinks_;       // [tsp]
+
+    /**
+     * Flits in flight, in slots reused through a free list. A delivery
+     * event captures only (this, slot), which std::function stores
+     * without allocating.
+     */
+    std::vector<InFlight> inFlight_;
+    std::vector<std::uint32_t> freeInFlight_;
 };
 
 } // namespace tsm

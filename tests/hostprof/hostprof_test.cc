@@ -6,6 +6,7 @@
 
 #include "hostprof/alloc_hook.hh"
 #include "hostprof/hostprof.hh"
+#include "runtime/system.hh"
 #include "sim/event_queue.hh"
 
 namespace tsm {
@@ -238,6 +239,36 @@ TEST(HostProfiler, CountsEventPathAllocations)
     eq.run();
     EXPECT_GE(hp.kind(EventKind::NetDeliver).allocs, 1u);
     EXPECT_GE(hp.kind(EventKind::NetDeliver).allocBytes, 4096u);
+}
+
+TEST(HostProfiler, SteadyStateSyncEventsDoNotAllocate)
+{
+    // HAC bring-up is a stream of tiny control events: once the event
+    // slab and the network's in-flight slab have grown to the peak
+    // backlog, a flit delivery or an aligner round allocates nothing.
+    if (!hostalloc::hookCompiledIn())
+        GTEST_SKIP() << "TSM_HOSTPROF_ALLOC_HOOK off";
+    SystemConfig cfg;
+    cfg.numTsps = 16;
+    cfg.driftPpmSigma = 50.0;
+    cfg.jitter = true;
+    TsmSystem sys(cfg);
+    // The first window pulls the power-up phases into line; the second
+    // runs aligned, at the backlog every later window repeats.
+    sys.synchronize(100 * kPsPerUs);
+    sys.synchronize(100 * kPsPerUs);
+    const std::size_t warmSlots = sys.eventq().slots();
+
+    HostProfiler hp;
+    sys.eventq().setHostProfiler(&hp);
+    sys.synchronize(100 * kPsPerUs);
+    sys.eventq().setHostProfiler(nullptr);
+
+    ASSERT_LE(hp.queue().maxDepth, warmSlots);
+    EXPECT_GT(hp.kind(EventKind::NetDeliver).events, 1000u);
+    EXPECT_GT(hp.kind(EventKind::HacUpdate).events, 1000u);
+    EXPECT_EQ(hp.kind(EventKind::NetDeliver).allocs, 0u);
+    EXPECT_EQ(hp.kind(EventKind::HacUpdate).allocs, 0u);
 }
 
 TEST(HostProfiler, RenderHostRateLineHonestWithoutData)

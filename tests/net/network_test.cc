@@ -175,6 +175,66 @@ TEST_F(NetFixture, SinkTakesDeliveryInsteadOfFifo)
     EXPECT_EQ(net->rxDepth(1, rec.port), 0u);
 }
 
+TEST_F(NetFixture, SinkMayTransmitFromInsideDelivery)
+{
+    // Each arrival bounces back over the link and, on its first bounce,
+    // fans out three more flits, so the in-flight slab grows (and may
+    // move) while a delivery is running. The sink reads the arrived
+    // flit only after transmitting; the sanitizer build checks that
+    // the read is not of freed storage.
+    struct Bouncer : FlitSink
+    {
+        Network *net = nullptr;
+        TspId self = 0;
+        LinkId link = 0;
+        unsigned arrivals = 0;
+        unsigned payloadErrors = 0;
+
+        void
+        flitArrived(unsigned, const ArrivedFlit &af) override
+        {
+            ++arrivals;
+            const Flit in = af.flit;
+            if (in.meta < 6) {
+                Flit out = in;
+                ++out.meta;
+                net->controlTransmit(self, link, out);
+                if (in.meta == 0)
+                    for (std::uint32_t k = 1; k <= 3; ++k) {
+                        Flit extra = in;
+                        extra.seq = in.seq * 10 + k;
+                        extra.meta = 1;
+                        extra.payload = makeVec(Vec(float(extra.seq)));
+                        net->controlTransmit(self, link, extra);
+                    }
+            }
+            if (af.flit.flow != in.flow || af.flit.seq != in.seq ||
+                af.flit.meta != in.meta || af.via != link)
+                ++payloadErrors;
+            if (!af.flit.payload || (*af.flit.payload)[0] != float(in.seq))
+                ++payloadErrors;
+        }
+    } a, b;
+    a.net = b.net = net.get();
+    a.self = 0;
+    b.self = 1;
+    a.link = b.link = link01;
+    net->attachSink(0, &a);
+    net->attachSink(1, &b);
+
+    const Tick ser = Tick(kVectorSerializationPs);
+    for (std::uint32_t s = 0; s < 8; ++s) {
+        Flit f = flit(3, s);
+        f.payload = makeVec(Vec(float(s)));
+        net->transmit(0, link01, f, s * ser);
+    }
+    eq.run();
+    // Each seed flit arrives 7 times (meta 0..6), each of its three
+    // extras 6 times (meta 1..6).
+    EXPECT_EQ(a.arrivals + b.arrivals, 8u * (7 + 3 * 6));
+    EXPECT_EQ(a.payloadErrors + b.payloadErrors, 0u);
+}
+
 TEST_F(NetFixture, DisabledLinkRejectsTraffic)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
+#include "common/rng.hh"
 #include "sim/event_queue.hh"
 
 namespace tsm {
@@ -90,9 +93,10 @@ TEST(EventQueue, ResetDropsEverything)
 
 TEST(EventQueue, ScheduleAtNowInsideCallbackRunsSameRun)
 {
-    // An event scheduled for the current tick from within a callback
-    // must still execute in this run(), after the events already
-    // queued for that tick (insertion order).
+    // The same-tick rule (sim/event_queue.hh): an event scheduled for
+    // the current tick from within a callback must still execute in
+    // this run(), after the events already queued for that tick
+    // (insertion order).
     EventQueue eq;
     std::vector<int> order;
     eq.schedule(10, [&] {
@@ -190,6 +194,69 @@ TEST(EventQueue, ResetAllowsReuseFromZero)
     eq.run();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 1u);
+}
+
+TEST(EventQueue, CallbackCapturesDieWhenItRuns)
+{
+    EventQueue eq;
+    auto token = std::make_shared<int>(7);
+    long during = 0;
+    eq.schedule(5, [&eq, &during, token] {
+        during = token.use_count();
+        // A fresh event may take the slot this callback just left.
+        eq.schedule(eq.now(), [] {});
+    });
+    EXPECT_EQ(token.use_count(), 2);
+    eq.run();
+    EXPECT_EQ(during, 2);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, ResetDestroysPendingCallbacks)
+{
+    EventQueue eq;
+    auto token = std::make_shared<int>(7);
+    for (Tick t = 1; t <= 3; ++t)
+        eq.schedule(t, [token] {});
+    EXPECT_EQ(token.use_count(), 4);
+    eq.run(1);
+    EXPECT_EQ(token.use_count(), 3);
+    eq.reset();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_EQ(eq.slots(), 0u);
+}
+
+TEST(EventQueue, SlabStaysBoundedByPeakDepth)
+{
+    // 10^5 events whose backlog swings between empty and a few
+    // thousand in waves of 5,000 events: freed slots are reused, so the
+    // slab never exceeds the deepest backlog.
+    EventQueue eq;
+    Rng rng(42);
+    std::uint64_t fired = 0;
+    std::size_t peak = 0;
+    std::function<void()> step = [&] {
+        ++fired;
+        const unsigned wave = unsigned(fired / 5000) % 2;
+        const unsigned children =
+            fired >= 100'000 ? 0 : unsigned(rng.below(wave ? 4 : 2));
+        for (unsigned c = 0; c < children; ++c) {
+            eq.schedule(eq.now() + Tick(rng.below(50)), step);
+            peak = std::max(peak, eq.pending());
+        }
+    };
+    for (int i = 0; i < 8; ++i)
+        eq.schedule(Tick(i), step);
+    peak = eq.pending();
+    while (fired < 100'000) {
+        if (eq.pending() == 0)
+            eq.schedule(eq.now(), step);
+        eq.run();
+    }
+    EXPECT_GE(fired, 100'000u);
+    EXPECT_GT(peak, 100u);
+    EXPECT_EQ(eq.slots(), peak);
 }
 
 TEST(EventQueueDeath, PastScheduleAborts)
