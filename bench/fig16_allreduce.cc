@@ -12,9 +12,7 @@
 #include "collective/allreduce.hh"
 #include "common/cli.hh"
 #include "common/table.hh"
-#include "prof/report.hh"
-#include "runtime/machine.hh"
-#include "trace/session.hh"
+#include "scenario/runner.hh"
 
 using namespace tsm;
 
@@ -52,18 +50,18 @@ main(int argc, char **argv)
 
     // The figure's tables are evaluated through the scheduler, so the
     // instrumented timeline is a representative stage-1 reduce-scatter
-    // schedule — replayed as planned Ssn events AND executed on chips,
-    // which is what gives the profiler a real simulated timeline to
-    // attribute against the static analysis. 32 KiB is the largest
-    // all-to-all the stream-register allocator can lower single-hop.
+    // schedule (`scenarios/fig16_allreduce.json`: a 32 KiB tensor, the
+    // largest all-to-all the stream-register allocator can lower
+    // single-hop) — replayed as planned Ssn events AND executed on
+    // chips, which is what gives the profiler a real simulated
+    // timeline to attribute against the static analysis.
     if (session.active()) {
-        constexpr Bytes kTracedBytes = 32 * kKiB;
-        const auto compiled = compileTransfers(
-            node, tsp.reduceScatterTransfers(kTracedBytes, 1, 0));
-        Machine(compiled.value(), seed, mbe)
-            .run(session.observers(), "fig16_allreduce", session.hostprof());
-        if (ProfileCollector *prof = session.profile())
-            prof->addExtra("traced_tensor_bytes", double(kTracedBytes));
+        const ScenarioRunResult run = runScenarioFile(
+            session, TSM_SCENARIO_DIR "/fig16_allreduce.json", {seed, mbe});
+        if (!run.error.empty()) {
+            std::fprintf(stderr, "%s\n", run.error.c_str());
+            return 2;
+        }
     }
     const GpuAllReduceModel gpu;
     // The TSP exposes 7x12.5 GB/s of intra-node links; pin-normalize

@@ -9,14 +9,12 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <memory>
 
 #include "arch/chip.hh"
 #include "common/cli.hh"
 #include "net/network.hh"
-#include "runtime/machine.hh"
+#include "scenario/runner.hh"
 #include "ssn/scheduler.hh"
-#include "trace/session.hh"
 
 namespace tsm {
 namespace {
@@ -107,34 +105,27 @@ BENCHMARK(BM_ChipInstructionRate);
 
 /**
  * With --trace/--metrics/--digest/--report/--journal the harness runs
- * one instrumented scenario instead of the benchmarks: a 4-flow
- * contended transfer scheduled by SSN and executed on chips, producing
- * events from the chip, network, SSN and (with --trace including it)
- * sim categories. `--seed` varies the network RNG; `--mbe` injects FEC
- * multi-bit errors at the given per-vector rate, which corrupts
- * payloads without perturbing timing — the canonical way to make two
- * same-seed journals diverge for the tsm_diverge walkthrough.
+ * one instrumented scenario instead of the benchmarks:
+ * `scenarios/micro_harness.json`, a 4-flow contended transfer
+ * scheduled by SSN and executed on chips, producing events from the
+ * chip, network, SSN and (with --trace including it) sim categories.
+ * `--seed` varies the network RNG; `--mbe` injects FEC multi-bit
+ * errors at the given per-vector rate, which corrupts payloads without
+ * perturbing timing — the canonical way to make two same-seed journals
+ * diverge for the tsm_diverge walkthrough.
  */
 int
 runTracedScenario(TraceSession &session, std::uint64_t seed, double mbe)
 {
-    const Topology topo = Topology::makeNode();
-
-    std::vector<TensorTransfer> transfers;
-    for (unsigned f = 0; f < 4; ++f) {
-        TensorTransfer t;
-        t.flow = f + 1;
-        t.src = TspId(f + 1);
-        t.dst = 0;
-        t.vectors = 32;
-        transfers.push_back(t);
+    const ScenarioRunResult run = runScenarioFile(
+        session, TSM_SCENARIO_DIR "/micro_harness.json", {seed, mbe});
+    if (!run.error.empty()) {
+        std::fprintf(stderr, "%s\n", run.error.c_str());
+        return 2;
     }
-    const auto compiled = compileTransfers(topo, transfers);
-    Machine machine(compiled.value(), seed, mbe);
-    machine.run(session.observers(), "micro_harness", session.hostprof());
     std::printf("traced scenario: %llu vectors delivered over %u links\n",
-                (unsigned long long)machine.net().totalFlits(),
-                unsigned(topo.links().size()));
+                (unsigned long long)run.flitsDelivered,
+                unsigned(run.compiled.topo.links().size()));
     session.finish();
     return 0;
 }

@@ -4,9 +4,9 @@
  *
  * The host profiler wants to know how many heap allocations one
  * simulated event costs (std::function captures, heap growth,
- * per-flit vectors): allocations are the main reason ROADMAP item 1
- * calls for arena-allocated flat event records, so the count must be
- * measured before it can be claimed away. alloc_hook.cc replaces the
+ * per-flit vectors): allocations are the main argument for
+ * arena-allocated flat event records, so the count must be measured
+ * before it can be claimed away. alloc_hook.cc replaces the
  * global `operator new`/`operator delete` with malloc/free wrappers
  * that bump a thread-local counter *only while armed*; the profiler
  * arms the counter around each event callback. When never armed the

@@ -19,7 +19,7 @@
  *    only while a callback runs;
  *  - sim-rate over fixed wall-clock windows: events/sec, simulated
  *    picoseconds advanced, queue depth — the trend tsm_hotspot plots
- *    and the `sim_rate` summary tsm_bench_diff gates on.
+ *    and the `sim_rate` summary it prints.
  *
  * The profiler never touches simulated state: no RNG draws, no event
  * reordering, no trace events. Journals, digests and profile reports

@@ -3,7 +3,7 @@
  * Concurrency profiler: how much parallelism does the event stream
  * actually contain?
  *
- * ROADMAP item 1 proposes splitting the single global picosecond
+ * A parallel event engine would split the single global picosecond
  * event queue into per-chip/per-link lanes synchronized by
  * conservative lookahead — the classic conservative PDES move, made
  * exact here because the SSN's link latencies are statically known.

@@ -35,6 +35,23 @@ fail(std::string *error, const std::string &msg)
     return false;
 }
 
+/** The largest tensor one TSP's SRAM holds: 720,896 vectors. */
+constexpr std::uint64_t kMaxTensorVectors = kLocalMemBytes / kVectorBytes;
+
+/**
+ * Reject `where`'s `key`, which asks for `size`: more than one TSP's
+ * SRAM holds, so the tensor cannot exist on its source chip.
+ */
+bool
+failTooBig(std::string *error, const std::string &where,
+           const std::string &key, const std::string &size)
+{
+    return fail(error, where + " key \"" + key + "\" asks for " + size +
+                           ", more than one TSP's SRAM holds (" +
+                           std::to_string(kMaxTensorVectors) +
+                           " vectors)");
+}
+
 /**
  * Reject members of `obj` outside `allowed` — the first unknown key
  * fails with the element's name so the user can find the typo.
@@ -151,8 +168,9 @@ parseTensor(const Json &v, const std::string &where, TensorSpec &out,
         if (vectors == 0)
             return fail(error, where + " resolves to a zero-length "
                                        "tensor (vectors must be >= 1)");
-        if (vectors > 0xffffffffull)
-            return fail(error, where + " vectors exceeds 2^32-1");
+        if (vectors > kMaxTensorVectors)
+            return failTooBig(error, where, "vectors",
+                              std::to_string(vectors) + " vectors");
         if (v.has("dtype"))
             return fail(error, where + " gives \"dtype\" without "
                                        "\"shape\"");
@@ -182,12 +200,14 @@ parseTensor(const Json &v, const std::string &where, TensorSpec &out,
     if (out.rows == 0 || out.cols == 0)
         return fail(error, where + " resolves to a zero-length tensor "
                                    "(shape dimensions must be >= 1)");
+    // Divide rather than multiply, so huge dimensions cannot wrap.
+    if (out.cols > kLocalMemBytes ||
+        out.rows > kLocalMemBytes / (out.cols * std::uint64_t(elem)))
+        return failTooBig(error, where, "shape",
+                          std::to_string(out.rows) + " x " +
+                              std::to_string(out.cols) + " " + out.dtype);
     const std::uint64_t bytes = out.rows * out.cols * std::uint64_t(elem);
-    const std::uint64_t vectors =
-        (bytes + kVectorBytes - 1) / kVectorBytes;
-    if (vectors > 0xffffffffull)
-        return fail(error, where + " shape exceeds 2^32-1 vectors");
-    out.vectors = std::uint32_t(vectors);
+    out.vectors = std::uint32_t((bytes + kVectorBytes - 1) / kVectorBytes);
     out.hasShape = true;
     return true;
 }
@@ -361,6 +381,10 @@ parseCollective(const Json &v, std::size_t index, ScenarioCollective &out,
     if (vectors == 0)
         return fail(error, where + " resolves to a zero-length tensor "
                                    "(vectors must be >= 1)");
+    if (vectors > kMaxTensorVectors)
+        return failTooBig(error, where, "vectors",
+                          std::to_string(vectors) +
+                              " vectors per participant");
     if (first == 0 || first >= kFlowSyncToken)
         return fail(error, where + " first_flow must be in 1.." +
                                std::to_string(kFlowSyncToken - 1));
@@ -416,6 +440,9 @@ parsePattern(const Json &v, std::size_t index, ScenarioPattern &out,
     if (vectors == 0)
         return fail(error, where + " resolves to a zero-length tensor "
                                    "(vectors must be >= 1)");
+    if (vectors > kMaxTensorVectors)
+        return failTooBig(error, where, "vectors",
+                          std::to_string(vectors) + " vectors per flow");
     if (first == 0 || first >= kFlowSyncToken)
         return fail(error, where + " first_flow must be in 1.." +
                                std::to_string(kFlowSyncToken - 1));

@@ -2,7 +2,6 @@ tsm_module(telemetry
     contention.cc
     timeline.cc
     phase.cc
-    bench_diff.cc
     render.cc
     progress.cc
 )

@@ -12,14 +12,14 @@
  *                  to FILE (compare two with tools/tsm_diverge)
  *   --timeline=FILE sample the run into fixed-width cycle windows and
  *                  write the tsm-timeline-v1 document to FILE (render
- *                  with tools/tsm_top, gate with tools/tsm_bench_diff)
+ *                  with tools/tsm_top)
  *   --timeline-window=N  window width in cycles (default 1024)
  *   --progress=N   heartbeat: one status line to stderr every N
  *                  simulated megacycles (fractional N allowed)
  *   --hostprof=FILE  profile the simulator itself (wall-clock per
  *                  event kind, queue telemetry, sim-rate) and write
  *                  the tsm-hostprof-v1 document to FILE (render with
- *                  tools/tsm_hotspot, gate with tools/tsm_bench_diff)
+ *                  tools/tsm_hotspot)
  *   --blame=FILE   attribute every wait to the flow that occupied the
  *                  contended resource and write the tsm-blame-v1
  *                  document to FILE (render with tools/tsm_blame,
@@ -28,12 +28,16 @@
  *                  faster compute, removed flows) over the run's SSN
  *                  schedule and write the ranked tsm-whatif-v1 lever
  *                  table to FILE (render and re-simulate with
- *                  tools/tsm_whatif, gate with tools/tsm_bench_diff)
+ *                  tools/tsm_whatif)
  *   --lanes=FILE   partition the event stream into per-chip/per-link
  *                  lanes with conservative-lookahead phases and write
  *                  the tsm-parallel-v1 concurrency profile to FILE
- *                  (render and gate with tools/tsm_lanes, diff with
- *                  tools/tsm_bench_diff)
+ *                  (render and gate with tools/tsm_lanes)
+ *
+ * The journal, report, timeline, blame, what-if and lanes documents
+ * are deterministic for a seed: tests/scenario/scenario_digest_test.cc
+ * pins the digest of each for every checked-in scenario, and that pin
+ * is their regression check.
  *
  * A TraceSession is a list of observers (trace/observer.hh), one per
  * requested output, in the order their reports print at finish().

@@ -2,16 +2,35 @@
  * @file
  * FNV-1a 64-bit pins of the six deterministic documents (journal,
  * profile report, blame, what-if, lanes, timeline) every checked-in
- * scenario produces. The pins were recorded before the compile, run
+ * scenario produces. These pins are the repository's only regression
+ * check on simulated documents: the machine is deterministic, so an
+ * exact digest is stronger than any tolerance and needs no checked-in
+ * copy of the document. The pins were recorded before the compile, run
  * and observer steps were unified, so they are an oracle independent
  * of the code under test.
+ *
+ * A new scenario file needs a new row (PinTableCoversEveryScenarioFile
+ * fails until it has one). Record it from a build that predates the
+ * change under test: run any scenario-driven bench on the file with
+ * all six outputs, e.g.
+ *
+ *   fig18_bert_scaling --scenario=scenarios/NEW.json --journal=n.tsmj \
+ *       --report=n.report.json --blame=n.blame.json \
+ *       --whatif=n.whatif.json --lanes=n.lanes.json \
+ *       --timeline=n.timeline.json
+ *
+ * and pin the FNV-1a 64 (offset basis 0xcbf29ce484222325, prime
+ * 0x100000001b3) of each file's bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -60,6 +79,9 @@ constexpr DigestPin kPins[] = {
     {"fig19_cholesky.json",
      0x5f92eddbac65113full, 0xf966391e940fc4d1ull, 0x02d19679aa377ce5ull,
      0x0491c87a3d3252a4ull, 0x576d870490e57241ull, 0x6ecb00e8ba052abaull},
+    {"micro_harness.json",
+     0x6c470d8702582fc3ull, 0xf716750e4199562full, 0x30d955a7e3a87fdfull,
+     0xf90e5a1fb82a2610ull, 0x310216eb0b7d53bcull, 0xec8645da396b62edull},
     {"traffic/node_all-to-one.json",
      0x9d676af8571b5425ull, 0x625aa5102ba186fdull, 0xac56bd56a8cdb7ecull,
      0xe1f6e60d4c629a7dull, 0xa91f2eafd0cf972aull, 0xa370ae0f8d4b8ac1ull},
@@ -111,25 +133,38 @@ textDigest(const std::string &text)
     return fnv1a64(kFnvOffsetBasis, text.data(), text.size());
 }
 
-std::uint64_t
-fileDigest(const std::string &path)
+std::string
+slurp(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     EXPECT_TRUE(in) << "cannot open " << path;
     std::ostringstream bytes;
     bytes << in.rdbuf();
-    return textDigest(bytes.str());
+    return bytes.str();
+}
+
+std::uint64_t
+fileDigest(const std::string &path)
+{
+    return textDigest(slurp(path));
+}
+
+Scenario
+loadPinned(const std::string &name)
+{
+    Scenario sc;
+    std::string error;
+    EXPECT_TRUE(loadScenarioFile(
+        std::string(TSM_SCENARIO_DIR) + "/" + name, sc, &error))
+        << error;
+    return sc;
 }
 
 TEST(ScenarioDigests, EveryCheckedInScenarioMatchesItsPins)
 {
     const std::string dir = testing::TempDir() + "/scenario_digest";
     for (const DigestPin &pin : kPins) {
-        Scenario sc;
-        std::string error;
-        ASSERT_TRUE(loadScenarioFile(
-            std::string(TSM_SCENARIO_DIR) + "/" + pin.scenario, sc, &error))
-            << error;
+        const Scenario sc = loadPinned(pin.scenario);
 
         TraceOptions opts;
         opts.journalPath = dir + ".tsmj";
@@ -172,6 +207,51 @@ TEST(ScenarioDigests, EveryCheckedInScenarioMatchesItsPins)
         EXPECT_EQ(textDigest(exec.lanesText + "\n"), pin.lanes)
             << pin.scenario;
     }
+}
+
+TEST(ScenarioDigests, PinTableCoversEveryScenarioFile)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir(TSM_SCENARIO_DIR);
+    std::set<std::string> files;
+    for (const auto &entry : fs::recursive_directory_iterator(dir))
+        if (entry.is_regular_file() && entry.path().extension() == ".json")
+            files.insert(entry.path().lexically_relative(dir).generic_string());
+    std::set<std::string> pinned;
+    for (const DigestPin &pin : kPins)
+        pinned.insert(pin.scenario);
+    EXPECT_EQ(files, pinned);
+}
+
+TEST(ScenarioDigests, OneChangedDigitBreaksThePin)
+{
+    const DigestPin *it = std::find_if(
+        std::begin(kPins), std::end(kPins), [](const DigestPin &p) {
+            return std::string(p.scenario) == "micro_harness.json";
+        });
+    ASSERT_NE(it, std::end(kPins));
+    const DigestPin &pin = *it;
+    const std::string dir = testing::TempDir() + "/scenario_tamper";
+    TraceOptions opts;
+    opts.reportPath = dir + ".report.json";
+    opts.timelinePath = dir + ".timeline.json";
+    {
+        TraceSession session(opts);
+        runScenario(session, loadPinned(pin.scenario));
+        session.finish();
+    }
+    std::string report = slurp(opts.reportPath);
+    std::remove(opts.reportPath.c_str());
+    std::remove(opts.timelinePath.c_str());
+    ASSERT_EQ(textDigest(report), pin.report);
+
+    // Change one digit of the report's makespan.
+    const std::string key = "\"cycles\": ";
+    const std::size_t at = report.find(key);
+    ASSERT_NE(at, std::string::npos);
+    char &digit = report[at + key.size()];
+    digit = digit == '9' ? '8' : char(digit + 1);
+    EXPECT_NE(textDigest(report), pin.report);
 }
 
 } // namespace

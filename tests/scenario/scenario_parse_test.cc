@@ -160,6 +160,42 @@ TEST(ScenarioParse, ShapeResolvesToCeilOfVectorBytes)
     EXPECT_TRUE(sc.flows[0].tensor.hasShape);
 }
 
+TEST(ScenarioParse, TensorLargerThanOneSramIsRejected)
+{
+    // One TSP holds 220 MiB = 720,896 vectors; a tensor past that
+    // cannot exist on its source chip, whichever key sizes it.
+    expectFails(R"({"schema": "tsm-scenario-v1", "name": "t", "flows": [
+        {"id": 1, "src": 0, "dst": 1,
+         "tensor": {"vectors": 4000000000}}]})",
+                "flow[0] tensor key \"vectors\" asks for 4000000000 "
+                "vectors, more than one TSP's SRAM holds (720896 "
+                "vectors)");
+    expectFails(R"({"schema": "tsm-scenario-v1", "name": "t", "flows": [
+        {"id": 1, "src": 0, "dst": 1, "tensor": {"vectors": 720897}}]})",
+                "key \"vectors\" asks for 720897 vectors");
+    expectFails(R"({"schema": "tsm-scenario-v1", "name": "t", "flows": [
+        {"id": 1, "src": 0, "dst": 1,
+         "tensor": {"shape": [100000, 100000], "dtype": "fp32"}}]})",
+                "flow[0] tensor key \"shape\" asks for 100000 x 100000 "
+                "fp32, more than one TSP's SRAM holds");
+    // 2^62 x 8 bytes wraps a 64-bit product to zero.
+    expectFails(R"({"schema": "tsm-scenario-v1", "name": "t", "flows": [
+        {"id": 1, "src": 0, "dst": 1,
+         "tensor": {"shape": [4611686018427387904, 8],
+                    "dtype": "int8"}}]})",
+                "key \"shape\" asks for 4611686018427387904 x 8 int8");
+    // Collectives and patterns size each participant's tensor.
+    expectFails(R"({"schema": "tsm-scenario-v1", "name": "t",
+        "collectives": [{"op": "broadcast", "vectors": 4000000000}]})",
+                "collective[0] key \"vectors\" asks for 4000000000 "
+                "vectors per participant");
+    expectFails(R"({"schema": "tsm-scenario-v1", "name": "t",
+        "patterns": [{"kind": "uniform-random",
+                      "vectors": 2000000000}]})",
+                "pattern[0] key \"vectors\" asks for 2000000000 vectors "
+                "per flow");
+}
+
 TEST(ScenarioParse, OutOfRangeChipNamesTopology)
 {
     const std::string error =

@@ -256,7 +256,7 @@ TEST(SsnDifferential, CheckedInScenariosMatchTheReference)
             if (entry.path().extension() == ".json")
                 files.push_back(entry.path());
     std::sort(files.begin(), files.end());
-    ASSERT_EQ(files.size(), 22u);
+    ASSERT_EQ(files.size(), 23u);
     for (const fs::path &file : files) {
         Scenario sc;
         std::string error;
