@@ -82,6 +82,13 @@ TspChip::load(Program program)
 {
     TSM_ASSERT(!running_, "cannot load a program while running");
     program_ = std::move(program);
+    for (const Instr &i : program_.instrs)
+        if (i.op == Op::Recv || i.op == Op::PollRecv) {
+            TSM_ASSERT(i.port < kPortsPerTsp,
+                       "tsp{}: receive on port {}, which is out of range",
+                       std::uint32_t{0} + id_, unsigned(i.port));
+            rxFifo_[i.port].reserve(1);
+        }
     pc_ = 0;
     stats_.haltTick = kTickInvalid;
 }
@@ -188,6 +195,15 @@ TspChip::portLink(unsigned port) const
     return *link;
 }
 
+const RxRing &
+TspChip::rxRing(unsigned port) const
+{
+    TSM_ASSERT(port < kPortsPerTsp,
+               "tsp{}: receive FIFO port {} is out of range",
+               std::uint32_t{0} + id_, port);
+    return rxFifo_[port];
+}
+
 VecPtr
 TspChip::consumeRx(const Instr &i)
 {
@@ -196,8 +212,7 @@ TspChip::consumeRx(const Instr &i)
                "tsp{} port{}: scheduled receive underflow — no vector has "
                "arrived; the SSN schedule is broken",
                std::uint32_t{0} + id_, unsigned(i.port));
-    ArrivedFlit af = fifo.front();
-    fifo.pop_front();
+    ArrivedFlit af = fifo.pop();
     ++stats_.flitsReceived;
     Tracer &tracer = eventq().tracer();
     if (af.flit.flow != 0 && tracer.wants(TraceCat::Ssn)) {
@@ -295,13 +310,16 @@ TspChip::execute(const Instr &i)
       case Op::MxmLoadWeights:
         TSM_ASSERT(i.imm >= 0 && i.imm < std::int64_t(kVectorLanesInt8),
                    "MXM weight row out of range");
-        mxmWeights_[std::size_t(i.imm)] = streams_[i.srcA];
+        if (!mxmWeights_)
+            mxmWeights_ = std::make_unique<
+                std::array<VecPtr, kVectorLanesInt8>>();
+        (*mxmWeights_)[std::size_t(i.imm)] = streams_[i.srcA];
         mxmRows_ = std::max(mxmRows_, unsigned(i.imm) + 1);
         break;
 
       case Op::MxmClear:
-        for (auto &row : mxmWeights_)
-            row = nullptr;
+        if (mxmWeights_)
+            mxmWeights_->fill(nullptr);
         mxmRows_ = 0;
         break;
 
@@ -313,10 +331,11 @@ TspChip::execute(const Instr &i)
         if (act) {
             Vec out;
             for (unsigned k = 0; k < mxmRows_; ++k) {
-                if (!mxmWeights_[k])
+                const VecPtr &row = (*mxmWeights_)[k];
+                if (!row)
                     continue;
                 const float a = (*act)[k];
-                const Vec &w = *mxmWeights_[k];
+                const Vec &w = *row;
                 for (unsigned j = 0; j < Vec::kLanes; ++j)
                     out[j] += a * w[j];
             }
@@ -438,7 +457,7 @@ TspChip::flitArrived(unsigned port, const ArrivedFlit &af)
             controlHandlers_[port](port, af);
         return;
     }
-    rxFifo_[port].push_back(af);
+    rxFifo_[port].push(af);
 }
 
 } // namespace tsm

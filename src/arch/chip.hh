@@ -28,8 +28,8 @@
 #define TSM_ARCH_CHIP_HH
 
 #include <array>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "arch/isa.hh"
@@ -106,7 +106,10 @@ class TspChip : public SimObject, public FlitSink
     /// @name Program execution
     /// @{
 
-    /** Load a program (replaces any previous program). */
+    /**
+     * Load a program (replaces any previous program) and reserve one
+     * receive slot on each port it receives on.
+     */
     void load(Program program);
 
     /** Begin executing the loaded program at tick `at` (>= now). */
@@ -134,7 +137,14 @@ class TspChip : public SimObject, public FlitSink
     void setStream(unsigned s, VecPtr v) { streams_.at(s) = std::move(v); }
 
     /** Depth of the receive FIFO at `port`. */
-    std::size_t rxDepth(unsigned port) const { return rxFifo_[port].size(); }
+    std::size_t rxDepth(unsigned port) const { return rxRing(port).size(); }
+
+    /** Flits the receive FIFO at `port` holds without growing. */
+    std::size_t
+    rxCapacity(unsigned port) const
+    {
+        return rxRing(port).capacity();
+    }
 
     /// @}
 
@@ -170,15 +180,19 @@ class TspChip : public SimObject, public FlitSink
     /** The link occupying `port`, or panic. */
     LinkId portLink(unsigned port) const;
 
+    /** The receive FIFO at `port`, or panic on a bad port. */
+    const RxRing &rxRing(unsigned port) const;
+
     TspId id_;
     Network *net_;
     DriftClock clock_;
     LocalMemory mem_;
     std::array<VecPtr, kNumStreams> streams_;
-    std::array<VecPtr, kVectorLanesInt8> mxmWeights_;
+    /** MXM weight rows; allocated by the first MxmLoadWeights. */
+    std::unique_ptr<std::array<VecPtr, kVectorLanesInt8>> mxmWeights_;
     unsigned mxmRows_ = 0;
 
-    std::array<std::deque<ArrivedFlit>, kPortsPerTsp> rxFifo_;
+    std::array<RxRing, kPortsPerTsp> rxFifo_;
 
     Program program_;
     std::size_t pc_ = 0;

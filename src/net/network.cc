@@ -24,6 +24,23 @@ findOverride(const std::unordered_map<LinkId, T> &overrides, LinkId l)
 
 } // namespace
 
+void
+RxRing::reserve(std::size_t n)
+{
+    if (n <= cap_)
+        return;
+    auto slots = std::make_unique<ArrivedFlit[]>(n);
+    std::uint32_t from = head_;
+    for (std::uint32_t k = 0; k < size_; ++k) {
+        slots[k] = std::move(slots_[from]);
+        if (++from == cap_)
+            from = 0;
+    }
+    slots_ = std::move(slots);
+    head_ = 0;
+    cap_ = std::uint32_t(n);
+}
+
 Network::Network(const Topology &topo, EventQueue &eq, const Rng &rng,
                  bool jitter_enabled)
     : topo_(&topo), eventq_(&eq), rng_(rng.fork(0x6e657477)),
@@ -31,7 +48,6 @@ Network::Network(const Topology &topo, EventQueue &eq, const Rng &rng,
 {
     directions_.assign(topo.links().size() * 2, Direction{});
     stats_.assign(topo.links().size(), LinkStats{});
-    rx_.assign(topo.numTsps(), std::vector<PortRx>(kPortsPerTsp));
     sinks_.assign(topo.numTsps(), nullptr);
 }
 
@@ -152,12 +168,12 @@ Network::deliver(const Link &link, TspId src, LinkId l, Flit flit,
     const TspId dst = link.peer(src);
     const SpanId span = flit.span;
     std::uint32_t idx;
-    if (freeInFlight_.empty()) {
+    if (freeInFlight_ == kNoSlot) {
         idx = std::uint32_t(inFlight_.size());
         inFlight_.emplace_back();
     } else {
-        idx = freeInFlight_.back();
-        freeInFlight_.pop_back();
+        idx = freeInFlight_;
+        freeInFlight_ = inFlight_[idx].nextFree;
     }
     inFlight_[idx] = {{std::move(flit), arrival, l}, dst, link.portAt(dst)};
     eventq_->schedule(
@@ -170,16 +186,22 @@ Network::arrive(std::uint32_t idx)
     // Take the flit and free its slot first: a sink may transmit,
     // reusing the slot or growing the slab.
     InFlight f = std::move(inFlight_[idx]);
-    freeInFlight_.push_back(idx);
+    inFlight_[idx].nextFree = freeInFlight_;
+    freeInFlight_ = idx;
     const ArrivedFlit &af = f.af;
     if (eventq_->tracer().wants(TraceCat::Net))
         eventq_->tracer().emit({af.arrival, 0, TraceCat::Net, af.via, "rx",
                                 std::int64_t(af.flit.flow),
                                 std::int64_t(af.flit.seq), af.flit.span});
-    if (sinks_[f.dst])
+    if (sinks_[f.dst]) {
         sinks_[f.dst]->flitArrived(f.port, af);
-    else
-        rx_[f.dst][f.port].fifo.push_back(std::move(f.af));
+        return;
+    }
+    if (rx_.empty())
+        rx_.resize(sinks_.size());
+    if (rx_[f.dst].empty())
+        rx_[f.dst].resize(kPortsPerTsp);
+    rx_[f.dst][f.port].push(std::move(f.af));
 }
 
 Tick
@@ -189,21 +211,30 @@ Network::transmitNow(TspId src, LinkId l, Flit flit)
                     earliestDeparture(src, l, eventq_->now()));
 }
 
+const RxRing *
+Network::rxRing(TspId tsp, unsigned port) const
+{
+    TSM_ASSERT(tsp < sinks_.size() && port < kPortsPerTsp,
+               "receive FIFO tsp{} port {} is out of range", tsp, port);
+    if (tsp >= rx_.size() || rx_[tsp].empty())
+        return nullptr;
+    return &rx_[tsp][port];
+}
+
 std::optional<ArrivedFlit>
 Network::pollRx(TspId tsp, unsigned port)
 {
-    auto &fifo = rx_[tsp][port].fifo;
-    if (fifo.empty())
+    const RxRing *ring = rxRing(tsp, port);
+    if (!ring || ring->empty())
         return std::nullopt;
-    ArrivedFlit af = fifo.front();
-    fifo.pop_front();
-    return af;
+    return rx_[tsp][port].pop();
 }
 
 std::size_t
 Network::rxDepth(TspId tsp, unsigned port) const
 {
-    return rx_[tsp][port].fifo.size();
+    const RxRing *ring = rxRing(tsp, port);
+    return ring ? ring->size() : 0;
 }
 
 const Network::Occupant &

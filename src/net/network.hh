@@ -15,7 +15,6 @@
 #define TSM_NET_NETWORK_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -36,6 +35,54 @@ struct ArrivedFlit
     Flit flit;
     Tick arrival = 0;
     LinkId via = kLinkInvalid;
+};
+
+/**
+ * One receive port's FIFO of arrived flits: a ring over storage held
+ * out of line, so a port that never receives costs no allocation. The
+ * SSN compiler consumes each vector before the next lands on its
+ * port, so a chip reserves one slot per receiving port at load time;
+ * a push into a full ring (hand-written programs, polling users,
+ * slid receives) doubles it.
+ */
+class RxRing
+{
+  public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    std::size_t capacity() const { return cap_; }
+
+    /** Grow the storage to hold at least `n` flits. */
+    void reserve(std::size_t n);
+
+    void
+    push(ArrivedFlit af)
+    {
+        if (size_ == cap_)
+            reserve(cap_ == 0 ? 1 : 2 * std::size_t(cap_));
+        std::uint32_t tail = head_ + size_;
+        if (tail >= cap_)
+            tail -= cap_;
+        slots_[tail] = std::move(af);
+        ++size_;
+    }
+
+    /** Remove and return the oldest flit; the ring must not be empty. */
+    ArrivedFlit
+    pop()
+    {
+        ArrivedFlit af = std::move(slots_[head_]);
+        if (++head_ == cap_)
+            head_ = 0;
+        --size_;
+        return af;
+    }
+
+  private:
+    std::unique_ptr<ArrivedFlit[]> slots_;
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
+    std::uint32_t cap_ = 0;
 };
 
 /**
@@ -63,8 +110,8 @@ struct LinkStats
 };
 
 /**
- * The interconnection network. Owns per-link transmit state and
- * per-port receive FIFOs; delivery timing is
+ * The interconnection network. Owns per-link transmit state and the
+ * polling FIFOs of TSPs with no sink; delivery timing is
  * serialization + propagation(+jitter).
  */
 class Network
@@ -144,7 +191,8 @@ class Network
     /**
      * Pop the oldest undelivered flit at (tsp, port), if any. Only
      * flits for TSPs with no attached sink land here; a sink takes
-     * delivery directly.
+     * delivery directly. A TSP's row of FIFOs is allocated when its
+     * first such flit lands.
      */
     std::optional<ArrivedFlit> pollRx(TspId tsp, unsigned port);
 
@@ -195,18 +243,18 @@ class Network
         Occupant occupant;
     };
 
-    struct PortRx
-    {
-        std::deque<ArrivedFlit> fifo;
-    };
-
     /** A flit on the wire, waiting for its delivery event. */
     struct InFlight
     {
         ArrivedFlit af;
         TspId dst = 0;
         unsigned port = 0;
+
+        /** While the slot is free: the next free slot. */
+        std::uint32_t nextFree = kNoSlot;
     };
+
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
 
     /** Index of the direction record for transmits from `src` on `l`. */
     std::size_t dirIndex(LinkId l, TspId src) const;
@@ -221,6 +269,9 @@ class Network
     /** The delivery event of in-flight slot `idx`. */
     void arrive(std::uint32_t idx);
 
+    /** (tsp, port)'s polling FIFO, or nullptr before its row exists. */
+    const RxRing *rxRing(TspId tsp, unsigned port) const;
+
     const Topology *topo_;
     EventQueue *eventq_;
     Rng rng_;
@@ -231,16 +282,17 @@ class Network
 
     std::vector<Direction> directions_; // 2 per link
     std::vector<LinkStats> stats_;      // 1 per link
-    std::vector<std::vector<PortRx>> rx_; // [tsp][port]
+    std::vector<std::vector<RxRing>> rx_; // [tsp][port], built lazily
     std::vector<FlitSink *> sinks_;       // [tsp]
 
     /**
-     * Flits in flight, in slots reused through a free list. A delivery
-     * event captures only (this, slot), which std::function stores
-     * without allocating.
+     * Flits in flight, in slots reused through a free list threaded
+     * through the free slots, so freeing one never allocates. A
+     * delivery event captures only (this, slot), which std::function
+     * stores without allocating.
      */
     std::vector<InFlight> inFlight_;
-    std::vector<std::uint32_t> freeInFlight_;
+    std::uint32_t freeInFlight_ = kNoSlot;
 };
 
 } // namespace tsm

@@ -15,7 +15,10 @@ Machine::Machine(const CompiledScenario &compiled, std::uint64_t seed,
     }
     for (TspId t = 0; t < compiled.topo.numTsps(); ++t) {
         chips_.push_back(std::make_unique<TspChip>(t, net_, DriftClock()));
-        Program program = compiled.programs.byChip[t];
+        const auto &instrs = compiled.programs.byChip[t].instrs;
+        Program program;
+        program.instrs.reserve(instrs.size() + 1);
+        program.instrs.assign(instrs.begin(), instrs.end());
         program.emitHalt();
         chips_[t]->setStream(0, makeVec(Vec(1.0f)));
         chips_[t]->load(std::move(program));

@@ -173,6 +173,16 @@ TEST_F(NodeFixture, RecvUnderflowPanics)
     EXPECT_DEATH(eq.run(), "underflow");
 }
 
+TEST_F(NodeFixture, ReceiveFifoIndexIsChecked)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EQ(chips[2]->rxDepth(kPortsPerTsp - 1), 0u);
+    EXPECT_DEATH(chips[2]->rxDepth(kPortsPerTsp), "tsp2: .*port 11");
+    Program rx;
+    rx.emitRecv(kPortsPerTsp, 5, 7, 0);
+    EXPECT_DEATH(chips[2]->load(std::move(rx)), "tsp2: .*port 11");
+}
+
 TEST_F(NodeFixture, RecvTagMismatchPanics)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

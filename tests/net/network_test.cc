@@ -235,6 +235,16 @@ TEST_F(NetFixture, SinkMayTransmitFromInsideDelivery)
     EXPECT_EQ(a.payloadErrors + b.payloadErrors, 0u);
 }
 
+TEST_F(NetFixture, PollingFifoIndexesAreChecked)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // No flit has landed, so no row exists yet: in range reads empty.
+    EXPECT_EQ(net->rxDepth(1, 0), 0u);
+    EXPECT_FALSE(net->pollRx(1, kPortsPerTsp - 1).has_value());
+    EXPECT_DEATH(net->rxDepth(1, kPortsPerTsp), "tsp1 port 11");
+    EXPECT_DEATH(net->pollRx(topo.numTsps(), 0), "tsp8 port 0");
+}
+
 TEST_F(NetFixture, DisabledLinkRejectsTraffic)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
