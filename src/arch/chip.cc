@@ -120,7 +120,7 @@ TspChip::issue()
         running_ = false;
         stats_.haltTick = now();
         if (tracer.wants(TraceCat::Chip))
-            tracer.emit({now(), 0, TraceCat::Chip, id_, "halt",
+            tracer.emit({now(), 0, TraceCat::Chip, TraceOp::Halt, id_,
                          std::int64_t(pc_), std::int64_t(localCycle())});
         if (onHalt_)
             onHalt_();
@@ -155,7 +155,7 @@ TspChip::issue()
         // of the issue slot (0 for a failed poll, which retires later).
         const Tick dur =
             next != kTickInvalid && next > now() ? next - now() : 0;
-        tracer.emit({now(), dur, TraceCat::Chip, id_, opName(i.op),
+        tracer.emit({now(), dur, TraceCat::Chip, TraceOp(i.op), id_,
                      std::int64_t(pc_), std::int64_t(localCycle())});
     }
 
@@ -163,7 +163,7 @@ TspChip::issue()
         running_ = false;
         stats_.haltTick = now();
         if (tracer.wants(TraceCat::Chip))
-            tracer.emit({now(), 0, TraceCat::Chip, id_, "halt",
+            tracer.emit({now(), 0, TraceCat::Chip, TraceOp::Halt, id_,
                          std::int64_t(pc_), std::int64_t(localCycle())});
         if (onHalt_)
             onHalt_();
@@ -175,8 +175,8 @@ TspChip::issue()
         --stats_.instrsExecuted;
         const Tick retry = nextEpochStart(now() + 1);
         if (tracer.wants(TraceCat::Chip))
-            tracer.emit({now(), retry - now(), TraceCat::Chip, id_,
-                         "poll_wait", std::int64_t(pc_),
+            tracer.emit({now(), retry - now(), TraceCat::Chip,
+                         TraceOp::PollWait, id_, std::int64_t(pc_),
                          std::int64_t(localCycle())});
         scheduleIssue(retry);
         return;
@@ -216,14 +216,14 @@ TspChip::consumeRx(const Instr &i)
     ++stats_.flitsReceived;
     Tracer &tracer = eventq().tracer();
     if (af.flit.flow != 0 && tracer.wants(TraceCat::Ssn)) {
-        tracer.emit({now(), 0, TraceCat::Ssn, id_,
-                     af.flit.corrupt ? "corrupt" : "recv",
+        tracer.emit({now(), 0, TraceCat::Ssn,
+                     af.flit.corrupt ? TraceOp::Corrupt : TraceOp::Recv, id_,
                      std::int64_t(af.flit.flow), std::int64_t(af.flit.seq),
                      af.flit.span});
         // The consuming receive at the final destination closes the
         // vector's causal span: its journey across every hop is over.
         if (i.lastHop && isDataFlow(af.flit.flow))
-            tracer.emit({now(), 0, TraceCat::Ssn, id_, "span_close",
+            tracer.emit({now(), 0, TraceCat::Ssn, TraceOp::SpanClose, id_,
                          std::int64_t(af.flit.flow),
                          std::int64_t(af.flit.seq),
                          spanParent(af.flit.span)});
@@ -372,15 +372,15 @@ TspChip::execute(const Instr &i)
         // forwarded hops re-enter it as leg children.
         if (i.hop == 0 && isDataFlow(i.flow) &&
             eventq().tracer().wants(TraceCat::Ssn))
-            eventq().tracer().emit({now(), 0, TraceCat::Ssn, id_,
-                                    "span_open", std::int64_t(i.flow),
-                                    std::int64_t(i.seq),
+            eventq().tracer().emit({now(), 0, TraceCat::Ssn,
+                                    TraceOp::SpanOpen, id_,
+                                    std::int64_t(i.flow), std::int64_t(i.seq),
                                     spanParent(span)});
         net_->transmit(id_, portLink(i.port), std::move(flit), now());
         ++stats_.flitsSent;
         if (i.flow != 0 && eventq().tracer().wants(TraceCat::Ssn))
-            eventq().tracer().emit({now(), 0, TraceCat::Ssn, id_, "send",
-                                    std::int64_t(i.flow),
+            eventq().tracer().emit({now(), 0, TraceCat::Ssn, TraceOp::Send,
+                                    id_, std::int64_t(i.flow),
                                     std::int64_t(i.seq), span});
         // Hand-written (unscheduled) programs self-pace at the port
         // serialization rate; SSN schedules control pacing themselves.

@@ -113,15 +113,15 @@ Network::transmit(TspId src, LinkId l, Flit flit, Tick depart)
         ++st.mbeDetected;
         flit.corrupt = true;
         if (eventq_->tracer().wants(TraceCat::Net))
-            eventq_->tracer().emit({depart, 0, TraceCat::Net, l, "mbe",
-                                    std::int64_t(flit.flow),
+            eventq_->tracer().emit({depart, 0, TraceCat::Net, TraceOp::Mbe,
+                                    l, std::int64_t(flit.flow),
                                     std::int64_t(flit.seq), flit.span});
     }
 
     const Tick arrival = depart + ser + jittered(link, nominal_prop);
     if (eventq_->tracer().wants(TraceCat::Net))
-        eventq_->tracer().emit({depart, arrival - depart, TraceCat::Net, l,
-                                "tx", std::int64_t(flit.flow),
+        eventq_->tracer().emit({depart, arrival - depart, TraceCat::Net,
+                                TraceOp::Tx, l, std::int64_t(flit.flow),
                                 std::int64_t(flit.seq), flit.span});
     deliver(link, src, l, std::move(flit), arrival);
     return arrival;
@@ -140,7 +140,7 @@ Network::controlTransmit(TspId src, LinkId l, Flit flit)
     const Tick arrival = eventq_->now() + jittered(link, prop);
     if (eventq_->tracer().wants(TraceCat::Net))
         eventq_->tracer().emit({eventq_->now(), arrival - eventq_->now(),
-                                TraceCat::Net, l, "ctl",
+                                TraceCat::Net, TraceOp::Ctl, l,
                                 std::int64_t(flit.flow),
                                 std::int64_t(flit.meta), flit.span});
     deliver(link, src, l, std::move(flit), arrival);
@@ -190,8 +190,8 @@ Network::arrive(std::uint32_t idx)
     freeInFlight_ = idx;
     const ArrivedFlit &af = f.af;
     if (eventq_->tracer().wants(TraceCat::Net))
-        eventq_->tracer().emit({af.arrival, 0, TraceCat::Net, af.via, "rx",
-                                std::int64_t(af.flit.flow),
+        eventq_->tracer().emit({af.arrival, 0, TraceCat::Net, TraceOp::Rx,
+                                af.via, std::int64_t(af.flit.flow),
                                 std::int64_t(af.flit.seq), af.flit.span});
     if (sinks_[f.dst]) {
         sinks_[f.dst]->flitArrived(f.port, af);

@@ -87,7 +87,7 @@ BlameSink::chipEvent(const TraceEvent &ev)
     // the issue slot — the same rule ProfilerSink::charge applies).
     if (!timeline.empty() && timeline.back().end > ev.tick)
         timeline.back().end = ev.tick;
-    if (std::string_view(ev.name) == "halt")
+    if (ev.op == TraceOp::Halt)
         return;
 
     Occupancy occ{ev.tick, ev.tick + ev.dur, kFlowInvalid, 0, false};
@@ -104,33 +104,27 @@ BlameSink::chipEvent(const TraceEvent &ev)
 void
 BlameSink::netEvent(const TraceEvent &ev)
 {
-    if (std::string_view(ev.name) != "rx")
-        return;
     // Mirror the profiler's pairing exactly: data flits queue here
     // until their consuming Recv.
-    const FlowId flow = FlowId(ev.a);
-    if (flow != kFlowHacExchange && flow != kFlowSyncToken &&
-        flow != kFlowInvalid) {
-        inFlight_[{flow, std::uint32_t(ev.b)}].push_back(
+    if (ev.op == TraceOp::Rx && isDataFlow(FlowId(ev.a)))
+        inFlight_[{FlowId(ev.a), std::uint32_t(ev.b)}].push_back(
             {ev.tick, LinkId(ev.actor)});
-    }
 }
 
 void
 BlameSink::ssnEvent(const TraceEvent &ev)
 {
-    const std::string_view name(ev.name);
     const FlowId flow = FlowId(ev.a);
     const std::uint32_t seq = std::uint32_t(ev.b);
 
-    if (name == "span_open") {
+    if (ev.op == TraceOp::SpanOpen) {
         TransferBlame &tb = transfers_[ev.span];
         tb.flow = FlowId(ev.a);
         tb.seq = std::uint32_t(ev.b);
         tb.src = ev.actor;
         return;
     }
-    if (name == "span_close") {
+    if (ev.op == TraceOp::SpanClose) {
         auto it = transfers_.find(ev.span);
         if (it != transfers_.end()) {
             TransferBlame &tb = it->second;
@@ -145,7 +139,8 @@ BlameSink::ssnEvent(const TraceEvent &ev)
         }
         return;
     }
-    if (name != "send" && name != "recv" && name != "corrupt")
+    if (ev.op != TraceOp::Send && ev.op != TraceOp::Recv &&
+        ev.op != TraceOp::Corrupt)
         return;
 
     // This Ssn event precedes its instruction's Chip event at the
@@ -154,7 +149,7 @@ BlameSink::ssnEvent(const TraceEvent &ev)
     if (isDataFlow(flow)) {
         pendingTag_[ev.actor] = {ev.tick, flow, seq, true};
     }
-    if (name == "send")
+    if (ev.op == TraceOp::Send)
         return;
 
     // Consuming Recv: pair with the oldest matching arrival and

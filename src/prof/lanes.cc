@@ -61,8 +61,7 @@ LaneSink::classify(const TraceEvent &ev) const
       case TraceCat::Net: {
         // Control flits and sync-flow traffic belong to the shared
         // sync lane; data flows get a lane per link direction.
-        if (std::string_view(ev.name) != "ctl" &&
-            isDataFlow(FlowId(ev.a))) {
+        if (ev.op != TraceOp::Ctl && isDataFlow(FlowId(ev.a))) {
             std::uint8_t dir = 0;
             if (auto it = hopDir_.find(ev.span); it != hopDir_.end())
                 dir = it->second;
@@ -78,15 +77,13 @@ LaneSink::classify(const TraceEvent &ev) const
 void
 LaneSink::event(const TraceEvent &ev)
 {
-    if (ev.cat == TraceCat::Ssn) {
-        // traceSchedule()'s pre-run replay is bookkeeping, not live
-        // work: count it apart so the lane/phase reconciliation stays
-        // exact over the events a parallel engine would execute.
-        const std::string_view name(ev.name);
-        if (name == "hop" || name == "flow" || name == "makespan") {
-            ++scheduleEvents_;
-            return;
-        }
+    // traceSchedule()'s pre-run replay is bookkeeping, not live work:
+    // count it apart so the lane/phase reconciliation stays exact over
+    // the events a parallel engine would execute.
+    if (ev.op == TraceOp::Hop || ev.op == TraceOp::Flow ||
+        ev.op == TraceOp::Makespan) {
+        ++scheduleEvents_;
+        return;
     }
 
     const LaneKey key = classify(ev);

@@ -22,7 +22,7 @@
  *
  * Time is cut into *phases* of one conservative lookahead each — the
  * minimum time a flit needs to cross the fastest link (serialization
- * + propagation, the delay before the "rx" lands on the peer). Under
+ * + propagation, the delay before the Rx lands on the peer). Under
  * the phase-barrier execution model, events inside one phase can only
  * be ordered by intra-lane sequence, so a pool of W workers needs at
  * least max(busiest lane, ceil(events/W)) steps per phase. Summing
@@ -32,7 +32,7 @@
  * CI can gate on ("the serial engine leaves >= Nx on the table").
  *
  * The schedule-replay events traceSchedule() emits before the run
- * ("hop"/"flow"/"makespan") are bookkeeping, not live work; they are
+ * (Hop/Flow/Makespan) are bookkeeping, not live work; they are
  * counted separately and excluded from every lane account, so the
  * reconciliation invariant — per-lane and per-phase event counts both
  * sum exactly to the live total — stays exact.
@@ -77,7 +77,7 @@ inline constexpr Tick kDefaultLookaheadPs =
 /**
  * Conservative lookahead of `topo`: the minimum over its in-service
  * links of serialization + propagation — the earliest a departure can
- * land an "rx" on the peer chip. Falls back to kDefaultLookaheadPs
+ * land an Rx on the peer chip. Falls back to kDefaultLookaheadPs
  * for link-less topologies.
  */
 Tick conservativeLookaheadPs(const Topology &topo);

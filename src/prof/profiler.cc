@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/format.hh"
-
 namespace tsm {
 
 Cycle
@@ -14,12 +12,6 @@ ChipAccount::busyTotal() const
     for (unsigned u = 0; u < kNumFuncUnits; ++u)
         total += busy[u];
     return total;
-}
-
-ProfilerSink::ProfilerSink()
-{
-    for (unsigned o = 0; o < kNumOps; ++o)
-        opByName_.emplace(opName(Op(o)), Op(o));
 }
 
 void
@@ -88,7 +80,7 @@ ProfilerSink::chipEvent(const TraceEvent &ev)
     charge(acct, pend, cycle);
     acct.lastCycle = std::max(acct.lastCycle, cycle);
 
-    if (std::string_view(ev.name) == "halt") {
+    if (ev.op == TraceOp::Halt) {
         acct.halted = true;
         return;
     }
@@ -97,17 +89,14 @@ ProfilerSink::chipEvent(const TraceEvent &ev)
     next.valid = true;
     next.cycle = cycle;
     next.durCycles = Cycle(std::llround(double(ev.dur) / kCorePeriodPs));
-    if (std::string_view(ev.name) == "poll_wait") {
+    if (ev.op == TraceOp::PollWait) {
         // A PollRecv that found nothing and is waiting for the next
         // poll epoch: time the chip spends blocked on the network.
         next.unit = FuncUnit::SXM;
         next.cls = OpTimeClass::Stall;
     } else {
-        auto it = opByName_.find(ev.name);
-        if (it == opByName_.end())
-            return; // unknown marker: contributes nothing
-        next.unit = opUnit(it->second);
-        next.cls = opTimeClass(it->second);
+        next.unit = opUnit(Op(ev.op));
+        next.cls = opTimeClass(Op(ev.op));
         ++acct.instrs;
     }
     pend = next;
@@ -116,8 +105,7 @@ ProfilerSink::chipEvent(const TraceEvent &ev)
 void
 ProfilerSink::netEvent(const TraceEvent &ev)
 {
-    const std::string_view name(ev.name);
-    if (name == "tx") {
+    if (ev.op == TraceOp::Tx) {
         LinkAccount &acct = links_[LinkId(ev.actor)];
         ++acct.flits;
         acct.busyPs += Tick(std::llround(kVectorSerializationPs));
@@ -137,7 +125,7 @@ ProfilerSink::netEvent(const TraceEvent &ev)
                 ++tr.legs;
             }
         }
-    } else if (name == "rx") {
+    } else if (ev.op == TraceOp::Rx) {
         if (ev.span != kSpanNone) {
             auto it = transfers_.find(spanParent(ev.span));
             if (it != transfers_.end()) {
@@ -145,15 +133,12 @@ ProfilerSink::netEvent(const TraceEvent &ev)
                 it->second.haveArrival = true;
             }
         }
-        // Data flits queue here until their consuming Recv (the "mbe"
-        // variant still delivers — FEC detects but does not retry).
-        const FlowId flow = FlowId(ev.a);
-        if (flow != kFlowHacExchange && flow != kFlowSyncToken &&
-            flow != kFlowInvalid) {
-            inFlight_[{flow, std::uint32_t(ev.b)}].push_back(
+        // Data flits queue here until their consuming Recv (a flit
+        // with an Mbe still delivers — FEC detects but does not retry).
+        if (isDataFlow(FlowId(ev.a)))
+            inFlight_[{FlowId(ev.a), std::uint32_t(ev.b)}].push_back(
                 {ev.tick, LinkId(ev.actor)});
-        }
-    } else if (name == "mbe") {
+    } else if (ev.op == TraceOp::Mbe) {
         ++links_[LinkId(ev.actor)].mbes;
         // Remember which link corrupted this (flow,seq): the payload
         // is dropped later, at the consuming Recv, and the drop is
@@ -171,12 +156,11 @@ ProfilerSink::netEvent(const TraceEvent &ev)
 void
 ProfilerSink::ssnEvent(const TraceEvent &ev)
 {
-    const std::string_view name(ev.name);
-    if (name == "send") {
+    if (ev.op == TraceOp::Send) {
         ++sendEvents_;
         return;
     }
-    if (name == "span_open") {
+    if (ev.op == TraceOp::SpanOpen) {
         TransferRecord &tr = transfers_[ev.span];
         tr.flow = FlowId(ev.a);
         tr.seq = std::uint32_t(ev.b);
@@ -184,7 +168,7 @@ ProfilerSink::ssnEvent(const TraceEvent &ev)
         tr.openTick = ev.tick;
         return;
     }
-    if (name == "span_close") {
+    if (ev.op == TraceOp::SpanClose) {
         auto it = transfers_.find(ev.span);
         if (it != transfers_.end()) {
             TransferRecord &tr = it->second;
@@ -197,10 +181,10 @@ ProfilerSink::ssnEvent(const TraceEvent &ev)
         }
         return;
     }
-    if (name != "recv" && name != "corrupt")
-        return; // schedule-replay markers (hop/flow/makespan)
+    if (ev.op != TraceOp::Recv && ev.op != TraceOp::Corrupt)
+        return; // schedule-replay markers (Hop/Flow/Makespan)
 
-    if (name == "corrupt") {
+    if (ev.op == TraceOp::Corrupt) {
         // This Recv is where an earlier MBE finally costs a payload:
         // attribute the drop to the link that corrupted the vector.
         auto pm = pendingMbe_.find({FlowId(ev.a), std::uint32_t(ev.b)});
@@ -227,16 +211,15 @@ ProfilerSink::ssnEvent(const TraceEvent &ev)
         inFlight_.erase(it);
     const Tick delay = ev.tick >= arrivedAt ? ev.tick - arrivedAt : 0;
     queueAll_.add(delay);
-    reg_.histogram(format("net.link{}.queue_delay_ps", link)).add(delay);
+    queueDelay_[link].add(delay);
 }
 
 void
 ProfilerSink::syncEvent(const TraceEvent &ev)
 {
-    const std::string_view name(ev.name);
-    if (name == "hac_tx") {
+    if (ev.op == TraceOp::HacTx) {
         ++hac_.updatesSent;
-    } else if (name == "hac_adj") {
+    } else if (ev.op == TraceOp::HacAdj) {
         ++hac_.adjustments;
         const std::uint64_t mag = std::uint64_t(std::llabs(ev.a));
         hac_.sumAbsDelta += mag;
@@ -266,7 +249,8 @@ ProfilerSink::finish()
 const Log2Histogram *
 ProfilerSink::queueDelay(LinkId link) const
 {
-    return reg_.findHistogram(format("net.link{}.queue_delay_ps", link));
+    auto it = queueDelay_.find(link);
+    return it == queueDelay_.end() ? nullptr : &it->second;
 }
 
 std::uint64_t

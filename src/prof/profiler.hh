@@ -12,11 +12,10 @@
  *  - Per link: flits carried, serialization-busy time, and a log2
  *    histogram of receive queueing delay (flit arrival to the
  *    consuming Recv), the slack the SSN schedule left at the
- *    receiver. Histograms live in a MetricsRegistry so --metrics
- *    reporting and the profiler share one mechanism. FEC multi-bit
- *    errors are attributed back to the link that corrupted the flit:
- *    `dropped` counts vectors whose payload was discarded at their
- *    consuming Recv because of an MBE on that link.
+ *    receiver. FEC multi-bit errors are attributed back to the link
+ *    that corrupted the flit: `dropped` counts vectors whose payload
+ *    was discarded at their consuming Recv because of an MBE on that
+ *    link.
  *  - Per transfer (causal span, trace/span.hh): a cross-chip
  *    waterfall — serialize, flight, forward-queue and deskew-wait
  *    picoseconds that sum *exactly* to the observed end-to-end
@@ -41,10 +40,10 @@
 #include <vector>
 
 #include "arch/isa.hh"
+#include "common/stats.hh"
 #include "common/units.hh"
 #include "net/flit.hh"
 #include "net/topology.hh"
-#include "trace/metrics.hh"
 #include "trace/trace.hh"
 
 namespace tsm {
@@ -174,8 +173,6 @@ struct HacAccount
 class ProfilerSink : public TraceSink
 {
   public:
-    ProfilerSink();
-
     /** Everything except the per-dispatch Sim firehose. */
     unsigned categoryMask() const override { return kTraceDefaultCats; }
 
@@ -195,9 +192,6 @@ class ProfilerSink : public TraceSink
     {
         return transfers_;
     }
-
-    /** Registry holding the per-link queue-delay histograms. */
-    const MetricsRegistry &metrics() const { return reg_; }
 
     /** Queue-delay histogram of one link, or nullptr. */
     const Log2Histogram *queueDelay(LinkId link) const;
@@ -244,7 +238,7 @@ class ProfilerSink : public TraceSink
     std::map<LinkId, LinkAccount> links_;
     std::unordered_map<TspId, Pending> pending_;
     HacAccount hac_;
-    MetricsRegistry reg_;
+    std::map<LinkId, Log2Histogram> queueDelay_;
     Log2Histogram queueAll_;
 
     /** In-flight flits awaiting their consuming Recv: (flow,seq). */
@@ -259,9 +253,6 @@ class ProfilerSink : public TraceSink
      *  links to charge, oldest first. */
     std::map<std::pair<FlowId, std::uint32_t>, std::vector<LinkId>>
         pendingMbe_;
-
-    /** Mnemonic -> opcode, for attributing chip events. */
-    std::unordered_map<std::string, Op> opByName_;
 
     std::uint64_t events_ = 0;
     Tick spanPs_ = 0;

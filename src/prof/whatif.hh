@@ -254,7 +254,8 @@ class WhatIfCollector : public Observer
     Json report() const;
 
   private:
-    /** Minimal sink: the last scheduled-receive tick of the run. */
+    /** Minimal sink: the last scheduled-receive tick of the run (a
+     *  corrupt receive still consumes its vector, so it counts). */
     class CompletionSink : public TraceSink
     {
       public:
@@ -267,7 +268,8 @@ class WhatIfCollector : public Observer
         void
         event(const TraceEvent &ev) override
         {
-            if (ev.name == std::string("recv") && ev.tick > last_)
+            if ((ev.op == TraceOp::Recv || ev.op == TraceOp::Corrupt) &&
+                ev.tick > last_)
                 last_ = ev.tick;
         }
 

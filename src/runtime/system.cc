@@ -78,8 +78,9 @@ TsmSystem::synchronize(Tick duration)
         }(),
         tree);
     if (eq_.tracer().wants(TraceCat::Runtime))
-        eq_.tracer().emit({eq_.now(), duration, TraceCat::Runtime, 0,
-                           "synchronize", std::int64_t(chips_.size()), 0});
+        eq_.tracer().emit({eq_.now(), duration, TraceCat::Runtime,
+                           TraceOp::Synchronize, 0, std::int64_t(chips_.size()),
+                           0});
     sync.start();
     eq_.runUntil(eq_.now() + duration);
     sync.stop();
@@ -97,7 +98,8 @@ TsmSystem::launchAligned(std::vector<Program> payloads)
     const AlignmentPlan plan = AlignmentPlan::build(topo_, tree);
     const Tick start = eq_.now();
     if (eq_.tracer().wants(TraceCat::Runtime))
-        eq_.tracer().emit({start, 0, TraceCat::Runtime, 0, "launch_aligned",
+        eq_.tracer().emit({start, 0, TraceCat::Runtime,
+                           TraceOp::LaunchAligned, 0,
                            std::int64_t(chips_.size()), 0});
     for (TspId t = 0; t < chips_.size(); ++t) {
         Program payload = std::move(payloads[t]);
@@ -117,8 +119,9 @@ TsmSystem::launchRaw(std::vector<Program> payloads, Tick at)
     TSM_ASSERT(payloads.size() == chips_.size(),
                "one payload per chip required (may be empty)");
     if (eq_.tracer().wants(TraceCat::Runtime))
-        eq_.tracer().emit({eq_.now(), 0, TraceCat::Runtime, 0, "launch_raw",
-                           std::int64_t(chips_.size()), std::int64_t(at)});
+        eq_.tracer().emit({eq_.now(), 0, TraceCat::Runtime,
+                           TraceOp::LaunchRaw, 0, std::int64_t(chips_.size()),
+                           std::int64_t(at)});
     for (TspId t = 0; t < chips_.size(); ++t) {
         Program payload = std::move(payloads[t]);
         if (payload.instrs.empty() ||
@@ -148,8 +151,9 @@ TsmSystem::runToCompletion(Tick deadline)
         eq_.run(100000);
     }
     if (eq_.tracer().wants(TraceCat::Runtime))
-        eq_.tracer().emit({eq_.now(), 0, TraceCat::Runtime, 0, "completed",
-                           std::int64_t(chips_.size()), 0});
+        eq_.tracer().emit({eq_.now(), 0, TraceCat::Runtime,
+                           TraceOp::Completed, 0, std::int64_t(chips_.size()),
+                           0});
     return true;
 }
 

@@ -50,7 +50,7 @@ EventQueue::dispatchNext()
 
     now_ = top.when;
     if (tracer_.wants(TraceCat::Sim))
-        tracer_.emit({top.when, 0, TraceCat::Sim, 0, "dispatch",
+        tracer_.emit({top.when, 0, TraceCat::Sim, TraceOp::Dispatch, 0,
                       std::int64_t(top.seq), 0, span});
     if (hostprof_) {
         hostprof_->dispatchBegin();

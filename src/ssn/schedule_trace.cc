@@ -29,7 +29,8 @@ traceSchedule(Tracer &tracer, const NetworkSchedule &sched)
             const ScheduledHop &hop = v.hops[h];
             tracer.emit({cycleToPs(hop.depart),
                          cycleToPs(hop.arrive) - cycleToPs(hop.depart),
-                         TraceCat::Ssn, hop.link, "hop", std::int64_t(v.flow),
+                         TraceCat::Ssn, TraceOp::Hop, hop.link,
+                         std::int64_t(v.flow),
                          std::int64_t(v.seq),
                          spanChild(transferSpan(v.flow, v.seq), unsigned(h))});
             ++emitted;
@@ -47,13 +48,15 @@ traceSchedule(Tracer &tracer, const NetworkSchedule &sched)
         const FlowSummary &f = sched.flows.at(id);
         tracer.emit({cycleToPs(f.firstDeparture),
                      cycleToPs(f.lastArrival) - cycleToPs(f.firstDeparture),
-                     TraceCat::Ssn, f.flow, "flow", std::int64_t(f.vectors),
+                     TraceCat::Ssn, TraceOp::Flow, f.flow,
+                     std::int64_t(f.vectors),
                      std::int64_t(f.pathsUsed)});
         ++emitted;
     }
 
-    tracer.emit({cycleToPs(sched.makespan), 0, TraceCat::Ssn, 0, "makespan",
-                 std::int64_t(sched.makespan), std::int64_t(ids.size())});
+    tracer.emit({cycleToPs(sched.makespan), 0, TraceCat::Ssn,
+                 TraceOp::Makespan, 0, std::int64_t(sched.makespan),
+                 std::int64_t(ids.size())});
     return emitted + 1;
 }
 

@@ -20,10 +20,11 @@
 namespace tsm {
 
 /**
- * Emit one "hop" event per scheduled link window (actor = link id,
- * a = flow, b = vector seq), one "flow" event per flow spanning first
- * departure to last arrival (actor = flow id, a = vectors, b = paths
- * used; flows in ascending id order), and a final "makespan" instant.
+ * Emit one TraceOp::Hop event per scheduled link window (actor = link
+ * id, a = flow, b = vector seq), one TraceOp::Flow event per flow
+ * spanning first departure to last arrival (actor = flow id, a =
+ * vectors, b = paths used; flows in ascending id order), and a final
+ * TraceOp::Makespan instant.
  * Returns the number of events emitted (0 when no sink wants Ssn).
  */
 std::uint64_t traceSchedule(Tracer &tracer, const NetworkSchedule &sched);

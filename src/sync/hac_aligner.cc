@@ -54,8 +54,8 @@ HacAligner::sendUpdate()
     // Schedule the next periodic update on the parent's clock.
     EventQueue &eq = parent_.network().eventq();
     if (eq.tracer().wants(TraceCat::Sync))
-        eq.tracer().emit({eq.now(), 0, TraceCat::Sync, parent_.id(),
-                          "hac_tx", std::int64_t(parent_.hac()),
+        eq.tracer().emit({eq.now(), 0, TraceCat::Sync, TraceOp::HacTx,
+                          parent_.id(), std::int64_t(parent_.hac()),
                           std::int64_t(child_.id()), round_span});
     const Tick next = parent_.clock().cycleToTick(
         parent_.localCycle() + config_.updatePeriodCycles);
@@ -97,8 +97,8 @@ HacAligner::childHandler(const ArrivedFlit &af)
     // Payload: observed misalignment and the (rate-limited) correction
     // actually applied — the drift telemetry the profiler collects.
     if (eq.tracer().wants(TraceCat::Sync))
-        eq.tracer().emit({eq.now(), 0, TraceCat::Sync, child_.id(),
-                          "hac_adj", std::int64_t(diff),
+        eq.tracer().emit({eq.now(), 0, TraceCat::Sync, TraceOp::HacAdj,
+                          child_.id(), std::int64_t(diff),
                           std::int64_t(step), af.flit.span});
 }
 

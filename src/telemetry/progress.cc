@@ -33,13 +33,10 @@ ProgressSink::event(const TraceEvent &ev)
 {
     ++events_;
     lastTick_ = std::max(lastTick_, ev.tick);
-    if (ev.cat == TraceCat::Ssn) {
-        const std::string_view name(ev.name);
-        if (name == "span_open")
-            ++activeTransfers_;
-        else if (name == "span_close" && activeTransfers_ > 0)
-            --activeTransfers_;
-    }
+    if (ev.op == TraceOp::SpanOpen)
+        ++activeTransfers_;
+    else if (ev.op == TraceOp::SpanClose && activeTransfers_ > 0)
+        --activeTransfers_;
     if (intervalPs_ == 0)
         return;
     while (lastTick_ >= nextBeat_) {

@@ -10,8 +10,6 @@ namespace tsm {
 TimelineSampler::TimelineSampler(Cycle windowCycles)
     : windowCycles_(windowCycles ? windowCycles : kDefaultWindowCycles)
 {
-    for (unsigned o = 0; o < kNumOps; ++o)
-        opByName_.emplace(opName(Op(o)), Op(o));
 }
 
 Cycle
@@ -63,8 +61,7 @@ TimelineSampler::event(const TraceEvent &ev)
         break;
       case TraceCat::Runtime:
         if (markers_.size() < kMarkerCap)
-            markers_.push_back(
-                {ev.tick, ev.dur, "runtime", ev.name, ev.actor});
+            markers_.push_back({ev.tick, ev.dur, ev.cat, ev.op, ev.actor});
         break;
       default:
         break;
@@ -125,22 +122,19 @@ TimelineSampler::chipEvent(const TraceEvent &ev)
     Pending &pend = pending_[chip];
     charge(chip, pend, cycle);
 
-    if (std::string_view(ev.name) == "halt")
+    if (ev.op == TraceOp::Halt)
         return;
 
     Pending next;
     next.valid = true;
     next.cycle = cycle;
     next.durCycles = Cycle(std::llround(double(ev.dur) / kCorePeriodPs));
-    if (std::string_view(ev.name) == "poll_wait") {
+    if (ev.op == TraceOp::PollWait) {
         next.unit = FuncUnit::SXM;
         next.cls = OpTimeClass::Stall;
     } else {
-        auto it = opByName_.find(std::string_view(ev.name));
-        if (it == opByName_.end())
-            return; // unknown marker: contributes nothing
-        next.unit = opUnit(it->second);
-        next.cls = opTimeClass(it->second);
+        next.unit = opUnit(Op(ev.op));
+        next.cls = opTimeClass(Op(ev.op));
         ++chips_[chip][windowOf(cycle)].instrs;
     }
     pend = next;
@@ -149,10 +143,9 @@ TimelineSampler::chipEvent(const TraceEvent &ev)
 void
 TimelineSampler::netEvent(const TraceEvent &ev)
 {
-    const std::string_view name(ev.name);
     const LinkId link = LinkId(ev.actor);
     const std::uint64_t w = windowOf(tickToCycle(ev.tick));
-    if (name == "tx") {
+    if (ev.op == TraceOp::Tx) {
         LinkWindow &lw = links_[link][w];
         ++lw.flits;
         // Same per-flit serialization charge as LinkAccount::busyPs,
@@ -160,18 +153,16 @@ TimelineSampler::netEvent(const TraceEvent &ev)
         // window sums match the whole-run account exactly.
         lw.busyPs += Tick(std::llround(kVectorSerializationPs));
         spanCycles_ = std::max(spanCycles_, tickToCycle(ev.tick) + 1);
-    } else if (name == "rx") {
-        const FlowId flow = FlowId(ev.a);
-        if (flow != kFlowHacExchange && flow != kFlowSyncToken &&
-            flow != kFlowInvalid) {
-            inFlight_[{flow, std::uint32_t(ev.b)}].push_back(
+    } else if (ev.op == TraceOp::Rx) {
+        if (isDataFlow(FlowId(ev.a))) {
+            inFlight_[{FlowId(ev.a), std::uint32_t(ev.b)}].push_back(
                 {ev.tick, link});
             const unsigned depth = ++queueDepth_[link];
             LinkWindow &lw = links_[link][w];
             lw.queueHwm = std::max(lw.queueHwm, depth);
             spanCycles_ = std::max(spanCycles_, tickToCycle(ev.tick) + 1);
         }
-    } else if (name == "mbe") {
+    } else if (ev.op == TraceOp::Mbe) {
         ++links_[link][w].mbes;
     }
 }
@@ -179,13 +170,12 @@ TimelineSampler::netEvent(const TraceEvent &ev)
 void
 TimelineSampler::ssnEvent(const TraceEvent &ev)
 {
-    const std::string_view name(ev.name);
-    if (name == "flow" || name == "makespan") {
+    if (ev.op == TraceOp::Flow || ev.op == TraceOp::Makespan) {
         if (markers_.size() < kMarkerCap)
-            markers_.push_back({ev.tick, ev.dur, "ssn", ev.name, ev.actor});
+            markers_.push_back({ev.tick, ev.dur, ev.cat, ev.op, ev.actor});
         return;
     }
-    if (name != "recv" && name != "corrupt")
+    if (ev.op != TraceOp::Recv && ev.op != TraceOp::Corrupt)
         return;
     // A consuming Recv drains the oldest matching arrival from its
     // link's receive queue.
@@ -204,7 +194,7 @@ TimelineSampler::ssnEvent(const TraceEvent &ev)
 void
 TimelineSampler::syncEvent(const TraceEvent &ev)
 {
-    if (std::string_view(ev.name) != "hac_adj")
+    if (ev.op != TraceOp::HacAdj)
         return;
     HacWindow &hw = hac_[windowOf(tickToCycle(ev.tick))];
     ++hw.adjustments;
@@ -312,8 +302,8 @@ TimelineSampler::report(const PhaseAnalysis *analysis) const
             Json jm = Json::object();
             jm.set("tick", m.tick);
             jm.set("dur", m.dur);
-            jm.set("cat", m.cat);
-            jm.set("name", m.name);
+            jm.set("cat", traceCatName(m.cat));
+            jm.set("name", traceOpName(m.op));
             jm.set("actor", m.actor);
             markers.push(std::move(jm));
         }

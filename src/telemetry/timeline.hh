@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "arch/isa.hh"
@@ -101,8 +100,8 @@ struct TimelineMarker
 {
     Tick tick = 0;
     Tick dur = 0;
-    std::string cat;  ///< "runtime" or "ssn"
-    std::string name; ///< "synchronize", "flow", "makespan", ...
+    TraceCat cat = TraceCat::Runtime; ///< Runtime or Ssn
+    TraceOp op = TraceOp::Synchronize; ///< Synchronize, Flow, Makespan, ...
     std::uint32_t actor = 0;
 };
 
@@ -210,9 +209,6 @@ class TimelineSampler : public TraceSink
     std::map<std::pair<FlowId, std::uint32_t>,
              std::vector<std::pair<Tick, LinkId>>>
         inFlight_;
-
-    /** Mnemonic -> opcode, for attributing chip events. */
-    std::map<std::string, Op, std::less<>> opByName_;
 
     std::uint64_t events_ = 0;
     Cycle spanCycles_ = 0;

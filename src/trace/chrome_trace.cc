@@ -73,7 +73,8 @@ ChromeTraceSink::event(const TraceEvent &ev)
     std::string rec =
         format("{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\","
                "\"ts\":{},",
-               ev.name, traceCatName(ev.cat), ph, psToUsField(ev.tick));
+               traceOpName(ev.op), traceCatName(ev.cat), ph,
+               psToUsField(ev.tick));
     if (ev.dur > 0)
         rec += format("\"dur\":{},", psToUsField(ev.dur));
     else
@@ -100,13 +101,12 @@ ChromeTraceSink::maybeWriteFlow(const TraceEvent &ev)
 {
     if (ev.span == kSpanNone)
         return;
-    const std::string_view name(ev.name);
     std::string_view ph;
-    if (ev.cat == TraceCat::Ssn && name == "span_open")
+    if (ev.op == TraceOp::SpanOpen)
         ph = "s";
-    else if (ev.cat == TraceCat::Net && name == "rx")
+    else if (ev.op == TraceOp::Rx)
         ph = "t";
-    else if (ev.cat == TraceCat::Ssn && name == "span_close")
+    else if (ev.op == TraceOp::SpanClose)
         ph = "f";
     else
         return;

@@ -35,7 +35,8 @@ DigestSink::event(const TraceEvent &ev)
     h = fnv1a64Word(h, ev.dur);
     h = fnv1a64Word(h, std::uint64_t(ev.cat));
     h = fnv1a64Word(h, ev.actor);
-    h = fnv1a64(h, ev.name, std::strlen(ev.name));
+    const char *name = traceOpName(ev.op);
+    h = fnv1a64(h, name, std::strlen(name));
     h = fnv1a64Word(h, std::uint64_t(ev.a));
     h = fnv1a64Word(h, std::uint64_t(ev.b));
     h = fnv1a64Word(h, ev.span);

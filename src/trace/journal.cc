@@ -17,7 +17,7 @@ journalLine(const TraceEvent &ev)
                   "%" PRIu64 " %s %" PRIu32 " %s %" PRId64 " %" PRId64
                   " %" PRIx64,
                   std::uint64_t(ev.tick), traceCatName(ev.cat), ev.actor,
-                  ev.name[0] ? ev.name : "-", ev.a, ev.b,
+                  traceOpName(ev.op), ev.a, ev.b,
                   std::uint64_t(ev.span));
     return buf;
 }

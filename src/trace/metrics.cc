@@ -28,25 +28,11 @@ MetricsRegistry::findAccumulator(const std::string &name) const
     return it == accums_.end() ? nullptr : &it->second;
 }
 
-Log2Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    return histograms_[name];
-}
-
-const Log2Histogram *
-MetricsRegistry::findHistogram(const std::string &name) const
-{
-    auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
-}
-
 void
 MetricsRegistry::clear()
 {
     counters_.clear();
     accums_.clear();
-    histograms_.clear();
 }
 
 Table
@@ -65,16 +51,6 @@ MetricsRegistry::table() const
                   Table::num(acc.min(), 3), "", "", "",
                   Table::num(acc.max(), 3), Table::num(acc.sum(), 3)});
     }
-    for (const auto &[name, h] : histograms_) {
-        if (h.count() == 0) {
-            t.addRow({name, "0", "", "", "", "", "", "", ""});
-            continue;
-        }
-        t.addRow({name, Table::num(h.count()), Table::num(h.mean(), 3),
-                  Table::num(h.min()), Table::num(h.p50()),
-                  Table::num(h.p95()), Table::num(h.p99()),
-                  Table::num(h.max()), Table::num(h.sum())});
-    }
     return t;
 }
 
@@ -89,7 +65,7 @@ MetricsSink::event(const TraceEvent &ev)
 {
     std::string key = traceCatName(ev.cat);
     key += '.';
-    key += ev.name;
+    key += traceOpName(ev.op);
     ++reg_.counter(key);
     if (ev.dur > 0) {
         key += ".us";

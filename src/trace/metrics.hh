@@ -20,7 +20,7 @@
 
 namespace tsm {
 
-/** Named counters, sample accumulators and histograms, sorted by name. */
+/** Named counters and sample accumulators, sorted by name. */
 class MetricsRegistry
 {
   public:
@@ -36,35 +36,18 @@ class MetricsRegistry
     /** The accumulator named `name`, or nullptr if absent. */
     const Accumulator *findAccumulator(const std::string &name) const;
 
-    /**
-     * The log2 histogram named `name`, created empty on first use.
-     * Used where an Accumulator's mean hides the tail — queueing
-     * delays, stall lengths — and the p50/p95/p99 split matters.
-     */
-    Log2Histogram &histogram(const std::string &name);
-
-    /** The histogram named `name`, or nullptr if absent. */
-    const Log2Histogram *findHistogram(const std::string &name) const;
-
-    /** All histograms by name (for report builders). */
-    const std::map<std::string, Log2Histogram> &histograms() const
-    {
-        return histograms_;
-    }
-
     bool empty() const
     {
-        return counters_.empty() && accums_.empty() && histograms_.empty();
+        return counters_.empty() && accums_.empty();
     }
     std::size_t numCounters() const { return counters_.size(); }
     std::size_t numAccumulators() const { return accums_.size(); }
-    std::size_t numHistograms() const { return histograms_.size(); }
     void clear();
 
     /**
-     * Render everything as one table: counters as (name, count) rows,
-     * accumulators as (name, count, mean, min, max, sum) rows, and
-     * histograms as (name, count, mean, p50, p95, p99, max) rows.
+     * Render everything as one table: counters as (name, count) rows
+     * and accumulators as (name, count, mean, min, max, sum) rows. The
+     * percentile columns stay in the header but are always empty.
      */
     Table table() const;
 
@@ -74,7 +57,6 @@ class MetricsRegistry
   private:
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, Accumulator> accums_;
-    std::map<std::string, Log2Histogram> histograms_;
 };
 
 /** Folds trace events into a MetricsRegistry it owns. */

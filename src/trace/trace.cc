@@ -26,6 +26,37 @@ traceCatName(TraceCat cat)
     return "?";
 }
 
+const char *
+traceOpName(TraceOp op)
+{
+    if (unsigned(op) < kNumOps)
+        return opName(Op(op));
+    switch (op) {
+      case TraceOp::Halt: return "halt";
+      case TraceOp::PollWait: return "poll_wait";
+      case TraceOp::Dispatch: return "dispatch";
+      case TraceOp::Tx: return "tx";
+      case TraceOp::Rx: return "rx";
+      case TraceOp::Mbe: return "mbe";
+      case TraceOp::Ctl: return "ctl";
+      case TraceOp::Send: return "send";
+      case TraceOp::Recv: return "recv";
+      case TraceOp::Corrupt: return "corrupt";
+      case TraceOp::SpanOpen: return "span_open";
+      case TraceOp::SpanClose: return "span_close";
+      case TraceOp::Hop: return "hop";
+      case TraceOp::Flow: return "flow";
+      case TraceOp::Makespan: return "makespan";
+      case TraceOp::HacTx: return "hac_tx";
+      case TraceOp::HacAdj: return "hac_adj";
+      case TraceOp::Synchronize: return "synchronize";
+      case TraceOp::LaunchAligned: return "launch_aligned";
+      case TraceOp::LaunchRaw: return "launch_raw";
+      case TraceOp::Completed: return "completed";
+    }
+    return "?";
+}
+
 void
 Tracer::addSink(TraceSink *sink)
 {

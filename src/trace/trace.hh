@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "arch/isa.hh"
 #include "common/units.hh"
 #include "trace/observer.hh"
 #include "trace/span.hh"
@@ -62,9 +63,49 @@ inline constexpr unsigned kTraceDefaultCats =
     kTraceAllCats & ~traceCatBit(TraceCat::Sim);
 
 /**
- * One traced occurrence. `name` must point to storage that outlives
- * the run (string literals / opName() mnemonics) — events are not
- * copied into owned strings on the hot path.
+ * What happened: the closed vocabulary of traced events. Values below
+ * kNumOps are instruction retires, one per opcode (`TraceOp(i.op)`);
+ * the named events follow. traceOpName() renders each one, and is the
+ * only place their names are spelled.
+ */
+enum class TraceOp : std::uint8_t
+{
+    // Chip
+    Halt = kNumOps, ///< the chip stopped: HALT retired or it ran off the end
+    PollWait,       ///< a PollRecv found nothing and waits an epoch
+    // Sim
+    Dispatch, ///< one event-queue dispatch
+    // Net
+    Tx,  ///< a data flit leaves on a link
+    Rx,  ///< a flit (data or control) arrives over a link
+    Mbe, ///< FEC detected a multi-bit error on a data flit
+    Ctl, ///< a control flit leaves on a link
+    // Ssn
+    Send,      ///< a tagged vector is sent
+    Recv,      ///< a tagged vector is consumed
+    Corrupt,   ///< a tagged vector is consumed with a corrupt payload
+    SpanOpen,  ///< a vector's causal span opens at its source
+    SpanClose, ///< ... and closes at its final destination
+    Hop,       ///< schedule replay: one scheduled link leg
+    Flow,      ///< schedule replay: one flow's summary
+    Makespan,  ///< schedule replay: the schedule's makespan
+    // Sync
+    HacTx,  ///< a parent sends its HAC value to a child
+    HacAdj, ///< a child adjusts its HAC
+    // Runtime
+    Synchronize,   ///< system-wide HAC synchronization phase
+    LaunchAligned, ///< program launch behind the alignment preamble
+    LaunchRaw,     ///< program launch at a fixed tick
+    Completed,     ///< every launched chip halted
+};
+
+/** Rendered name of an event: the opcode mnemonic for an instruction
+ *  retire ("SEND"), else the event's lowercase name ("span_open"). */
+const char *traceOpName(TraceOp op);
+
+/**
+ * One traced occurrence: a fixed-size record with no pointers, so it
+ * can be copied, compared and stored freely.
  */
 struct TraceEvent
 {
@@ -76,11 +117,10 @@ struct TraceEvent
 
     TraceCat cat = TraceCat::Sim;
 
+    TraceOp op = TraceOp::Dispatch;
+
     /** Acting entity: TSP id, link id, flow id — category-dependent. */
     std::uint32_t actor = 0;
-
-    /** Static event name ("tx", "Send", "hac_adj", ...). */
-    const char *name = "";
 
     /** Two free payload words (flow/seq, delta/count, ...). */
     std::int64_t a = 0;

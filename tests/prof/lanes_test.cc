@@ -29,7 +29,7 @@
 namespace tsm {
 namespace {
 
-/** One live chip-lane event (Chip cat never hits the replay filter). */
+/** One live chip-lane event (an instruction retire, never a replay op). */
 TraceEvent
 chipEvent(Tick tick, std::uint32_t chip, SpanId span = kSpanNone)
 {
@@ -38,7 +38,7 @@ chipEvent(Tick tick, std::uint32_t chip, SpanId span = kSpanNone)
     ev.dur = 100;
     ev.cat = TraceCat::Chip;
     ev.actor = chip;
-    ev.name = "issue";
+    ev.op = TraceOp(Op::Compute);
     ev.span = span;
     return ev;
 }
@@ -184,16 +184,16 @@ TEST(Lanes, IndependentLanesProjectThePhaseBarrierArithmetic)
 TEST(Lanes, ScheduleReplayEventsStayOutOfEveryLane)
 {
     LaneCollector collector;
-    for (const char *name : {"hop", "flow", "makespan"}) {
+    for (TraceOp op : {TraceOp::Hop, TraceOp::Flow, TraceOp::Makespan}) {
         TraceEvent ev;
         ev.cat = TraceCat::Ssn;
-        ev.name = name;
+        ev.op = op;
         collector.sink().event(ev);
     }
     // A live Ssn event (a chip's send) still lands in its chip lane.
     TraceEvent send;
     send.cat = TraceCat::Ssn;
-    send.name = "send";
+    send.op = TraceOp::Send;
     send.actor = 3;
     collector.sink().event(send);
 

@@ -152,9 +152,9 @@ TEST(Profiler, SameSeedReportsAreByteIdentical)
 TEST(Profiler, HacTelemetryFromSyncEvents)
 {
     ProfilerSink sink;
-    sink.event({100, 0, TraceCat::Sync, 0, "hac_tx", 0, 0});
-    sink.event({200, 0, TraceCat::Sync, 2, "hac_adj", -5, 3});
-    sink.event({300, 0, TraceCat::Sync, 3, "hac_adj", 2, -1});
+    sink.event({100, 0, TraceCat::Sync, TraceOp::HacTx, 0, 0, 0});
+    sink.event({200, 0, TraceCat::Sync, TraceOp::HacAdj, 2, -5, 3});
+    sink.event({300, 0, TraceCat::Sync, TraceOp::HacAdj, 3, 2, -1});
     sink.finish();
 
     const HacAccount &hac = sink.hac();
@@ -174,8 +174,8 @@ TEST(Profiler, QueueDelayPairsArrivalWithRecv)
     ProfilerSink sink;
     // Flit of flow 3 seq 0 lands on link 7 at t=1000; the scheduled
     // Recv consumes it at t=3500.
-    sink.event({1000, 0, TraceCat::Net, 7, "rx", 3, 0});
-    sink.event({3500, 0, TraceCat::Ssn, 0, "recv", 3, 0});
+    sink.event({1000, 0, TraceCat::Net, TraceOp::Rx, 7, 3, 0});
+    sink.event({3500, 0, TraceCat::Ssn, TraceOp::Recv, 0, 3, 0});
     sink.finish();
 
     EXPECT_EQ(sink.queueDelayAll().count(), 1u);

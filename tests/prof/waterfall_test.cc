@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <string_view>
 #include <vector>
 
 #include "prof/profiler.hh"
@@ -87,18 +86,17 @@ checkLifecycleAndWaterfalls(const std::vector<TensorTransfer> &transfers,
     for (const TraceEvent &ev : rec.events) {
         if (ev.cat != TraceCat::Ssn)
             continue;
-        const std::string_view name(ev.name);
-        if (name == "span_open") {
+        if (ev.op == TraceOp::SpanOpen) {
             EXPECT_FALSE(spanIsChild(ev.span));
             ++opens[ev.span];
             openTick[ev.span] = ev.tick;
-        } else if (name == "span_close") {
+        } else if (ev.op == TraceOp::SpanClose) {
             EXPECT_FALSE(spanIsChild(ev.span));
             ++closes[ev.span];
             ASSERT_TRUE(openTick.count(ev.span))
                 << "span closed before it opened: " << spanStr(ev.span);
             EXPECT_GE(ev.tick, openTick[ev.span]);
-        } else if (name == "corrupt") {
+        } else if (ev.op == TraceOp::Corrupt) {
             ++corrupt_consumes;
         }
     }

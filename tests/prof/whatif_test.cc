@@ -6,7 +6,7 @@
  * makespan delta on every checked-in scenario, flow-removal
  * semantics, projection-vs-resimulation agreement (gap == 0), and
  * byte-determinism plus structural invariants of the tsm-whatif-v1
- * document.
+ * document, and its observed completion counting corrupt receives.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "prof/report.hh"
 #include "prof/whatif.hh"
 #include "runtime/counterfactual.hh"
+#include "runtime/machine.hh"
 #include "scenario/scenario.hh"
 #include "ssn/scheduler.hh"
 
@@ -233,6 +235,27 @@ TEST(WhatIfCollector, DocumentIsDeterministicAndSound)
     const std::string summary = renderWhatIfSummary(a);
     EXPECT_NE(summary.find("what-if"), std::string::npos);
     EXPECT_NE(summary.find("levers"), std::string::npos);
+}
+
+TEST(WhatIfCollector, ObservedCompletionCountsCorruptReceives)
+{
+    // Every vector takes an FEC multi-bit error, so every consuming
+    // receive is a corrupt one: the run still completes when the last
+    // of them lands, as the profiler's simulated completion says.
+    const auto compiled =
+        compileTransfers(Topology::makeNode(), contendedTransfers());
+    ASSERT_TRUE(compiled.has_value());
+    WhatIfCollector whatif;
+    ProfileCollector profile;
+    Machine machine(*compiled, 1, 1.0);
+    machine.run({&whatif, &profile});
+    profile.finish();
+
+    const Json simulated =
+        profile.report()["ssn"]["simulated_completion_cycles"];
+    ASSERT_GT(simulated.integer(), 0);
+    EXPECT_EQ(whatif.report()["base"]["observed_completion_cycles"].dump(),
+              simulated.dump());
 }
 
 TEST(WhatIfCollector, InvariantCheckerCatchesCorruption)

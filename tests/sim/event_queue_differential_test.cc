@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -63,7 +62,7 @@ class DispatchSink : public TraceSink
     void
     event(const TraceEvent &ev) override
     {
-        if (std::strcmp(ev.name, "dispatch") == 0)
+        if (ev.op == TraceOp::Dispatch)
             seen.push_back({ev.tick, ev.a, ev.span, EventKind::Generic});
     }
 

@@ -37,7 +37,7 @@ EventQueue::run(std::uint64_t limit)
         heap_.pop();
         now_ = top.when;
         if (tracer_.wants(TraceCat::Sim))
-            tracer_.emit({top.when, 0, TraceCat::Sim, 0, "dispatch",
+            tracer_.emit({top.when, 0, TraceCat::Sim, TraceOp::Dispatch, 0,
                           std::int64_t(top.seq), 0, top.span});
         if (hostprof_) {
             hostprof_->dispatchBegin();
@@ -64,7 +64,7 @@ EventQueue::runUntil(Tick until)
         heap_.pop();
         now_ = top.when;
         if (tracer_.wants(TraceCat::Sim))
-            tracer_.emit({top.when, 0, TraceCat::Sim, 0, "dispatch",
+            tracer_.emit({top.when, 0, TraceCat::Sim, TraceOp::Dispatch, 0,
                           std::int64_t(top.seq), 0, top.span});
         if (hostprof_) {
             hostprof_->dispatchBegin();

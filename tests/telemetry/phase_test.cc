@@ -37,8 +37,8 @@ TEST(Phase, ComputeBoundWindow)
 {
     TimelineSampler s(10);
     // Window 0 is all MXM busy with no network traffic.
-    s.event({0, cyclesPs(8), TraceCat::Chip, 0, "MXM.MM", 0, 0});
-    s.event({0, 0, TraceCat::Chip, 0, "halt", 0, 8});
+    s.event({0, cyclesPs(8), TraceCat::Chip, TraceOp(Op::MxmMatMul), 0, 0, 0});
+    s.event({0, 0, TraceCat::Chip, TraceOp::Halt, 0, 0, 8});
     s.finish();
 
     const PhaseAnalysis a = analyzePhases(s);
@@ -53,9 +53,9 @@ TEST(Phase, SyncBoundWindow)
 {
     TimelineSampler s(10);
     // Stall (poll wait) dominates the charged cycles.
-    s.event({0, cyclesPs(7), TraceCat::Chip, 0, "poll_wait", 0, 0});
-    s.event({0, cyclesPs(2), TraceCat::Chip, 0, "VADD", 0, 7});
-    s.event({0, 0, TraceCat::Chip, 0, "halt", 0, 9});
+    s.event({0, cyclesPs(7), TraceCat::Chip, TraceOp::PollWait, 0, 0, 0});
+    s.event({0, cyclesPs(2), TraceCat::Chip, TraceOp(Op::VAdd), 0, 0, 7});
+    s.event({0, 0, TraceCat::Chip, TraceOp::Halt, 0, 0, 9});
     s.finish();
 
     const PhaseAnalysis a = analyzePhases(s);
@@ -71,10 +71,10 @@ TEST(Phase, NetworkBoundWindow)
     // 100-cycle window) dwarf one 2-cycle VADD.
     const Tick ser = Tick(std::llround(kVectorSerializationPs));
     for (unsigned i = 0; i < 4; ++i)
-        s.event({cyclesPs(i * 24), ser, TraceCat::Net, 3, "tx", 1,
+        s.event({cyclesPs(i * 24), ser, TraceCat::Net, TraceOp::Tx, 3, 1,
                  std::int64_t(i)});
-    s.event({0, cyclesPs(2), TraceCat::Chip, 0, "VADD", 0, 0});
-    s.event({0, 0, TraceCat::Chip, 0, "halt", 0, 90});
+    s.event({0, cyclesPs(2), TraceCat::Chip, TraceOp(Op::VAdd), 0, 0, 0});
+    s.event({0, 0, TraceCat::Chip, TraceOp::Halt, 0, 0, 90});
     s.finish();
 
     const PhaseAnalysis a = analyzePhases(s);
@@ -89,8 +89,8 @@ TEST(Phase, AllIdleWindowIsIdleNotSync)
     TimelineSampler s(10);
     // A 2-cycle op at cycle 0, then nothing until cycle 28: windows 1
     // and 2 hold only idle cycles — a pipeline bubble, not sync time.
-    s.event({0, cyclesPs(2), TraceCat::Chip, 0, "VADD", 0, 0});
-    s.event({0, 0, TraceCat::Chip, 0, "halt", 0, 28});
+    s.event({0, cyclesPs(2), TraceCat::Chip, TraceOp(Op::VAdd), 0, 0, 0});
+    s.event({0, 0, TraceCat::Chip, TraceOp::Halt, 0, 0, 28});
     s.finish();
 
     const PhaseAnalysis a = analyzePhases(s);
@@ -102,7 +102,7 @@ TEST(Phase, AllIdleWindowIsIdleNotSync)
 TEST(Phase, HacOnlyWindowIsSync)
 {
     TimelineSampler s(10);
-    s.event({cyclesPs(3), 0, TraceCat::Sync, 1, "hac_adj", -4, 2});
+    s.event({cyclesPs(3), 0, TraceCat::Sync, TraceOp::HacAdj, 1, -4, 2});
     s.finish();
 
     const PhaseAnalysis a = analyzePhases(s);
@@ -114,9 +114,9 @@ TEST(Phase, ConsecutiveSameRegimeWindowsMerge)
 {
     TimelineSampler s(10);
     // Windows 0-1 compute, windows 2-3 idle, window 4 compute.
-    s.event({0, cyclesPs(18), TraceCat::Chip, 0, "COMPUTE", 0, 0});
-    s.event({0, cyclesPs(4), TraceCat::Chip, 0, "MXM.MM", 0, 44});
-    s.event({0, 0, TraceCat::Chip, 0, "halt", 0, 48});
+    s.event({0, cyclesPs(18), TraceCat::Chip, TraceOp(Op::Compute), 0, 0, 0});
+    s.event({0, cyclesPs(4), TraceCat::Chip, TraceOp(Op::MxmMatMul), 0, 0, 44});
+    s.event({0, 0, TraceCat::Chip, TraceOp::Halt, 0, 0, 48});
     s.finish();
 
     const PhaseAnalysis a = analyzePhases(s);
@@ -140,10 +140,10 @@ TEST(Phase, PhaseNamesHottestLinkByTotalWork)
     const Tick ser = Tick(std::llround(kVectorSerializationPs));
     // Link 2 carries three flits, link 7 one: the phase's hot link is
     // the one that did the most total serialization work.
-    s.event({cyclesPs(0), ser, TraceCat::Net, 2, "tx", 1, 0});
-    s.event({cyclesPs(30), ser, TraceCat::Net, 2, "tx", 1, 1});
-    s.event({cyclesPs(110), ser, TraceCat::Net, 2, "tx", 1, 2});
-    s.event({cyclesPs(120), ser, TraceCat::Net, 7, "tx", 2, 0});
+    s.event({cyclesPs(0), ser, TraceCat::Net, TraceOp::Tx, 2, 1, 0});
+    s.event({cyclesPs(30), ser, TraceCat::Net, TraceOp::Tx, 2, 1, 1});
+    s.event({cyclesPs(110), ser, TraceCat::Net, TraceOp::Tx, 2, 1, 2});
+    s.event({cyclesPs(120), ser, TraceCat::Net, TraceOp::Tx, 7, 2, 0});
     s.finish();
 
     const PhaseAnalysis a = analyzePhases(s);
@@ -156,8 +156,8 @@ TEST(Phase, PhaseNamesHottestLinkByTotalWork)
 TEST(Phase, JsonSerializationMatchesAnalysis)
 {
     TimelineSampler s(10);
-    s.event({0, cyclesPs(8), TraceCat::Chip, 0, "VMUL", 0, 0});
-    s.event({0, 0, TraceCat::Chip, 0, "halt", 0, 8});
+    s.event({0, cyclesPs(8), TraceCat::Chip, TraceOp(Op::VMul), 0, 0, 0});
+    s.event({0, 0, TraceCat::Chip, TraceOp::Halt, 0, 0, 8});
     s.finish();
 
     const PhaseAnalysis a = analyzePhases(s);

@@ -52,11 +52,11 @@ TEST(Render, SmokeRenderOfSampledTimeline)
     s.setSeed(7);
     const Tick ser = Tick(std::llround(kVectorSerializationPs));
     // Three windows: network burst, compute, idle tail.
-    s.event({cyclesPs(1), ser, TraceCat::Net, 4, "tx", 1, 0});
-    s.event({cyclesPs(2), 0, TraceCat::Net, 4, "rx", 1, 0});
-    s.event({cyclesPs(3), 0, TraceCat::Ssn, 0, "recv", 1, 0});
-    s.event({0, cyclesPs(9), TraceCat::Chip, 0, "MXM.MM", 0, 11});
-    s.event({0, 0, TraceCat::Chip, 0, "halt", 0, 29});
+    s.event({cyclesPs(1), ser, TraceCat::Net, TraceOp::Tx, 4, 1, 0});
+    s.event({cyclesPs(2), 0, TraceCat::Net, TraceOp::Rx, 4, 1, 0});
+    s.event({cyclesPs(3), 0, TraceCat::Ssn, TraceOp::Recv, 0, 1, 0});
+    s.event({0, cyclesPs(9), TraceCat::Chip, TraceOp(Op::MxmMatMul), 0, 0, 11});
+    s.event({0, 0, TraceCat::Chip, TraceOp::Halt, 0, 0, 29});
     s.finish();
 
     const PhaseAnalysis analysis = analyzePhases(s);
@@ -87,7 +87,7 @@ TEST(Render, ManyWindowsBucketIntoColumns)
     const Tick ser = Tick(std::llround(kVectorSerializationPs));
     // 200 windows of traffic on one link.
     for (unsigned w = 0; w < 200; ++w)
-        s.event({cyclesPs(w * 10 + 1), ser, TraceCat::Net, 0, "tx", 1,
+        s.event({cyclesPs(w * 10 + 1), ser, TraceCat::Net, TraceOp::Tx, 0, 1,
                  std::int64_t(w)});
     s.finish();
 

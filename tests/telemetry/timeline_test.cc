@@ -9,12 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "arch/chip.hh"
+#include "common/rng.hh"
+#include "net/network.hh"
 #include "prof/profiler.hh"
 #include "runtime/machine.hh"
+#include "sim/event_queue.hh"
 #include "ssn/schedule_trace.hh"
 #include "telemetry/phase.hh"
 #include "telemetry/timeline.hh"
@@ -36,8 +41,8 @@ TEST(Timeline, ChargeSplitsAcrossWindowBoundaries)
     // cycle 25, so the occupancy [5, 17) splits 5 + 7 across windows
     // 0 and 1 and the trailing idle gap [17, 25) splits 3 + 5 across
     // windows 1 and 2.
-    s.event({0, cyclesPs(12), TraceCat::Chip, 0, "COMPUTE", 0, 5});
-    s.event({0, 0, TraceCat::Chip, 0, "halt", 0, 25});
+    s.event({0, cyclesPs(12), TraceCat::Chip, TraceOp(Op::Compute), 0, 0, 5});
+    s.event({0, 0, TraceCat::Chip, TraceOp::Halt, 0, 0, 25});
     s.finish();
 
     ASSERT_EQ(s.chips().size(), 1u);
@@ -59,8 +64,8 @@ TEST(Timeline, BoundaryCycleOpensNewWindow)
     TimelineSampler s(10);
     // Issue exactly on the window-1 boundary: cycle 10 belongs to
     // window 1, not window 0.
-    s.event({0, cyclesPs(2), TraceCat::Chip, 3, "VADD", 0, 10});
-    s.event({0, 0, TraceCat::Chip, 3, "halt", 0, 12});
+    s.event({0, cyclesPs(2), TraceCat::Chip, TraceOp(Op::VAdd), 3, 0, 10});
+    s.event({0, 0, TraceCat::Chip, TraceOp::Halt, 3, 0, 12});
     s.finish();
 
     const auto &ws = s.chips().at(3);
@@ -95,7 +100,7 @@ TEST(Timeline, FinishChargesFinalPartialWindow)
     // A 7-cycle instruction still pending at end of stream: finish()
     // charges its full modeled occupancy, [25, 32), exactly as the
     // profiler does — the last window is partial and stays partial.
-    s.event({0, cyclesPs(7), TraceCat::Chip, 1, "READ", 0, 25});
+    s.event({0, cyclesPs(7), TraceCat::Chip, TraceOp(Op::Read), 1, 0, 25});
     s.finish();
 
     const auto &ws = s.chips().at(1);
@@ -110,8 +115,8 @@ TEST(Timeline, FinishChargesFinalPartialWindow)
 TEST(Timeline, PollWaitChargesSxmStall)
 {
     TimelineSampler s(10);
-    s.event({0, cyclesPs(4), TraceCat::Chip, 2, "poll_wait", 0, 0});
-    s.event({0, 0, TraceCat::Chip, 2, "halt", 0, 4});
+    s.event({0, cyclesPs(4), TraceCat::Chip, TraceOp::PollWait, 2, 0, 0});
+    s.event({0, 0, TraceCat::Chip, TraceOp::Halt, 2, 0, 4});
     s.finish();
 
     const auto &ws = s.chips().at(2);
@@ -129,11 +134,11 @@ TEST(Timeline, LinkWindowsCountFlitsAndQueueDepth)
     // Two transmits on link 5 land in different windows (cycle ~23 and
     // ~118 at the nominal period); both arrivals queue on link 5
     // before one Recv drains the first.
-    s.event({cyclesPs(23), ser, TraceCat::Net, 5, "tx", 1, 0});
-    s.event({cyclesPs(118), ser, TraceCat::Net, 5, "tx", 1, 1});
-    s.event({cyclesPs(119), 0, TraceCat::Net, 5, "rx", 1, 0});
-    s.event({cyclesPs(120), 0, TraceCat::Net, 5, "rx", 1, 1});
-    s.event({cyclesPs(121), 0, TraceCat::Ssn, 0, "recv", 1, 0});
+    s.event({cyclesPs(23), ser, TraceCat::Net, TraceOp::Tx, 5, 1, 0});
+    s.event({cyclesPs(118), ser, TraceCat::Net, TraceOp::Tx, 5, 1, 1});
+    s.event({cyclesPs(119), 0, TraceCat::Net, TraceOp::Rx, 5, 1, 0});
+    s.event({cyclesPs(120), 0, TraceCat::Net, TraceOp::Rx, 5, 1, 1});
+    s.event({cyclesPs(121), 0, TraceCat::Ssn, TraceOp::Recv, 0, 1, 0});
     s.finish();
 
     const auto &ws = s.links().at(5);
@@ -146,19 +151,72 @@ TEST(Timeline, LinkWindowsCountFlitsAndQueueDepth)
 
     // Control flits (HAC exchange, sync tokens) never queue.
     TimelineSampler c(100);
-    c.event({0, 0, TraceCat::Net, 9, "rx",
+    c.event({0, 0, TraceCat::Net, TraceOp::Rx, 9,
              std::int64_t(kFlowHacExchange), 0});
     c.finish();
     EXPECT_EQ(c.links().count(9), 0u);
 }
 
+/**
+ * Deepest receive queue the sampler reports when tsp0 sends `n`
+ * vectors tagged `flow` to tsp1, which consumes them all after every
+ * one has arrived.
+ */
+unsigned
+queueHwmOfHandWrittenTraffic(FlowId flow, unsigned n)
+{
+    const Topology topo = Topology::makeNode();
+    EventQueue eq;
+    Network net(topo, eq, Rng(1234));
+    TspChip tx(0, net, DriftClock());
+    TspChip rx(1, net, DriftClock());
+    const Link &link = topo.links()[topo.linksBetween(0, 1).at(0)];
+
+    tx.setStream(0, makeVec(Vec(1.0f)));
+    Program send;
+    for (unsigned s = 0; s < n; ++s)
+        send.emitSend(link.portAt(0), 0, flow, s);
+    send.emitHalt();
+    Program recv;
+    recv.emitNop(1000 + n * kVectorSerializationCycles);
+    for (unsigned s = 0; s < n; ++s)
+        recv.emitRecv(link.portAt(1), 5, flow, s);
+    recv.emitHalt();
+
+    TimelineSampler timeline(100);
+    eq.tracer().addSink(&timeline);
+    tx.load(std::move(send));
+    rx.load(std::move(recv));
+    tx.start(0);
+    rx.start(0);
+    eq.run();
+    timeline.finish();
+    eq.tracer().removeSink(&timeline);
+
+    EXPECT_EQ(rx.stats().flitsReceived, n);
+    unsigned hwm = 0;
+    for (const auto &[id, windows] : timeline.links())
+        for (const auto &[w, lw] : windows)
+            hwm = std::max(hwm, lw.queueHwm);
+    return hwm;
+}
+
+TEST(Timeline, UntaggedTrafficNeverQueues)
+{
+    // Tagged vectors all wait in the receive queue until the Recvs...
+    EXPECT_EQ(queueHwmOfHandWrittenTraffic(3, 50), 50u);
+    // ...but untagged ones (flow 0) emit no recv to drain them, so
+    // counting their arrivals would only ever grow the queue.
+    EXPECT_EQ(queueHwmOfHandWrittenTraffic(0, 50), 0u);
+}
+
 TEST(Timeline, HacWindowsAggregateAdjustments)
 {
     TimelineSampler s(100);
-    s.event({cyclesPs(10), 0, TraceCat::Sync, 2, "hac_adj", -5, 3});
-    s.event({cyclesPs(20), 0, TraceCat::Sync, 3, "hac_adj", 2, -1});
-    s.event({cyclesPs(150), 0, TraceCat::Sync, 2, "hac_adj", 7, 0});
-    s.event({cyclesPs(30), 0, TraceCat::Sync, 0, "hac_tx", 0, 0});
+    s.event({cyclesPs(10), 0, TraceCat::Sync, TraceOp::HacAdj, 2, -5, 3});
+    s.event({cyclesPs(20), 0, TraceCat::Sync, TraceOp::HacAdj, 3, 2, -1});
+    s.event({cyclesPs(150), 0, TraceCat::Sync, TraceOp::HacAdj, 2, 7, 0});
+    s.event({cyclesPs(30), 0, TraceCat::Sync, TraceOp::HacTx, 0, 0, 0});
     s.finish();
 
     ASSERT_EQ(s.hac().size(), 2u);
@@ -173,18 +231,18 @@ TEST(Timeline, HacWindowsAggregateAdjustments)
 TEST(Timeline, MarkersRecordRuntimeAndScheduleReplay)
 {
     TimelineSampler s;
-    s.event({100, 50, TraceCat::Runtime, 0, "synchronize", 0, 0});
-    s.event({200, 900, TraceCat::Ssn, 1, "flow", 0, 0});
-    s.event({200, 990, TraceCat::Ssn, 0, "makespan", 0, 0});
-    s.event({300, 0, TraceCat::Ssn, 0, "send", 1, 0});
+    s.event({100, 50, TraceCat::Runtime, TraceOp::Synchronize, 0, 0, 0});
+    s.event({200, 900, TraceCat::Ssn, TraceOp::Flow, 1, 0, 0});
+    s.event({200, 990, TraceCat::Ssn, TraceOp::Makespan, 0, 0, 0});
+    s.event({300, 0, TraceCat::Ssn, TraceOp::Send, 0, 1, 0});
     s.finish();
 
     ASSERT_EQ(s.markers().size(), 3u);
-    EXPECT_EQ(s.markers()[0].cat, "runtime");
-    EXPECT_EQ(s.markers()[0].name, "synchronize");
-    EXPECT_EQ(s.markers()[1].cat, "ssn");
-    EXPECT_EQ(s.markers()[1].name, "flow");
-    EXPECT_EQ(s.markers()[2].name, "makespan");
+    EXPECT_EQ(s.markers()[0].cat, TraceCat::Runtime);
+    EXPECT_EQ(s.markers()[0].op, TraceOp::Synchronize);
+    EXPECT_EQ(s.markers()[1].cat, TraceCat::Ssn);
+    EXPECT_EQ(s.markers()[1].op, TraceOp::Flow);
+    EXPECT_EQ(s.markers()[2].op, TraceOp::Makespan);
 }
 
 /**

@@ -15,7 +15,7 @@ namespace {
 
 TEST(JournalLine, RoundTripsEveryField)
 {
-    const TraceEvent ev{12345, 0, TraceCat::Net, 7, "tx", -3, 99,
+    const TraceEvent ev{12345, 0, TraceCat::Net, TraceOp::Tx, 7, -3, 99,
                         spanChild(transferSpan(4, 20), 1)};
     const std::string line = journalLine(ev);
     JournalRecord rec;
@@ -44,8 +44,8 @@ TEST(JournalSink, WritesMagicAndOneLinePerEvent)
     {
         JournalSink sink(os);
         EXPECT_EQ(sink.categoryMask(), kTraceAllCats);
-        sink.event({1, 0, TraceCat::Sim, 0, "dispatch", 0, 0});
-        sink.event({2, 0, TraceCat::Ssn, 3, "span_open", 5, 0,
+        sink.event({1, 0, TraceCat::Sim, TraceOp::Dispatch, 0, 0, 0});
+        sink.event({2, 0, TraceCat::Ssn, TraceOp::SpanOpen, 3, 5, 0,
                     transferSpan(5, 0)});
         sink.finish();
         EXPECT_EQ(sink.eventsWritten(), 2u);
@@ -86,16 +86,16 @@ TEST(ReadJournal, RoundTripsThroughAFile)
     const std::string path = testing::TempDir() + "/journal_rt.tsmj";
     {
         JournalSink sink(path);
-        sink.event({10, 0, TraceCat::Chip, 1, "Send", 2, 0,
+        sink.event({10, 0, TraceCat::Ssn, TraceOp::Send, 1, 2, 0,
                     spanChild(transferSpan(2, 0), 0)});
-        sink.event({20, 5, TraceCat::Net, 0, "tx", 2, 0});
+        sink.event({20, 5, TraceCat::Net, TraceOp::Tx, 0, 2, 0});
         sink.finish();
     }
     std::vector<JournalRecord> recs;
     std::string error;
     ASSERT_TRUE(readJournal(path, recs, &error)) << error;
     ASSERT_EQ(recs.size(), 2u);
-    EXPECT_EQ(recs[0].name, "Send");
+    EXPECT_EQ(recs[0].name, "send");
     EXPECT_EQ(recs[0].span, spanChild(transferSpan(2, 0), 0));
     EXPECT_EQ(recs[0].line, 2u);
     EXPECT_EQ(recs[1].cat, "net");

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,7 +42,7 @@ TEST(Tracer, InactiveByDefault)
     for (unsigned c = 0; c < kNumTraceCats; ++c)
         EXPECT_FALSE(tracer.wants(TraceCat(c)));
     // Emitting with no sinks must be harmless.
-    tracer.emit({1, 0, TraceCat::Chip, 0, "x", 0, 0});
+    tracer.emit({1, 0, TraceCat::Chip, TraceOp(Op::Nop), 0, 0, 0});
 }
 
 TEST(Tracer, MaskFiltersPerSink)
@@ -55,12 +56,12 @@ TEST(Tracer, MaskFiltersPerSink)
     EXPECT_TRUE(tracer.wants(TraceCat::Net));
     EXPECT_TRUE(tracer.wants(TraceCat::Sim));
 
-    tracer.emit({1, 0, TraceCat::Net, 0, "tx", 0, 0});
-    tracer.emit({2, 0, TraceCat::Chip, 0, "NOP", 0, 0});
+    tracer.emit({1, 0, TraceCat::Net, TraceOp::Tx, 0, 0, 0});
+    tracer.emit({2, 0, TraceCat::Chip, TraceOp(Op::Nop), 0, 0, 0});
 
     EXPECT_EQ(all.events.size(), 2u);
     ASSERT_EQ(netOnly.events.size(), 1u);
-    EXPECT_STREQ(netOnly.events[0].name, "tx");
+    EXPECT_EQ(netOnly.events[0].op, TraceOp::Tx);
 }
 
 TEST(Tracer, RemoveSinkRecomputesMask)
@@ -111,14 +112,75 @@ TEST(Tracer, CategoryNames)
     EXPECT_STREQ(traceCatName(TraceCat::Runtime), "runtime");
 }
 
+TEST(Tracer, EveryOpRendersItsJournalName)
+{
+    // Journals, digests and metrics keys spell events by these names,
+    // so old journals stay comparable only while every one holds.
+    const std::pair<TraceOp, const char *> names[] = {
+        {TraceOp(Op::Nop), "NOP"},
+        {TraceOp(Op::Compute), "COMPUTE"},
+        {TraceOp(Op::Halt), "HALT"},
+        {TraceOp(Op::Read), "READ"},
+        {TraceOp(Op::Write), "WRITE"},
+        {TraceOp(Op::VAdd), "VADD"},
+        {TraceOp(Op::VSub), "VSUB"},
+        {TraceOp(Op::VMul), "VMUL"},
+        {TraceOp(Op::VScale), "VSCALE"},
+        {TraceOp(Op::VRsqrt), "VRSQRT"},
+        {TraceOp(Op::VSplat), "VSPLAT"},
+        {TraceOp(Op::VCopy), "VCOPY"},
+        {TraceOp(Op::MxmLoadWeights), "MXM.LW"},
+        {TraceOp(Op::MxmClear), "MXM.CLEAR"},
+        {TraceOp(Op::MxmMatMul), "MXM.MM"},
+        {TraceOp(Op::SxmRotate), "SXM.ROT"},
+        {TraceOp(Op::Send), "SEND"},
+        {TraceOp(Op::Recv), "RECV"},
+        {TraceOp(Op::PollRecv), "POLLRECV"},
+        {TraceOp(Op::Sync), "SYNC"},
+        {TraceOp(Op::Notify), "NOTIFY"},
+        {TraceOp(Op::Deskew), "DESKEW"},
+        {TraceOp(Op::Transmit), "TRANSMIT"},
+        {TraceOp(Op::RuntimeDeskew), "RUNTIME_DESKEW"},
+        {TraceOp::Halt, "halt"},
+        {TraceOp::PollWait, "poll_wait"},
+        {TraceOp::Dispatch, "dispatch"},
+        {TraceOp::Tx, "tx"},
+        {TraceOp::Rx, "rx"},
+        {TraceOp::Mbe, "mbe"},
+        {TraceOp::Ctl, "ctl"},
+        {TraceOp::Send, "send"},
+        {TraceOp::Recv, "recv"},
+        {TraceOp::Corrupt, "corrupt"},
+        {TraceOp::SpanOpen, "span_open"},
+        {TraceOp::SpanClose, "span_close"},
+        {TraceOp::Hop, "hop"},
+        {TraceOp::Flow, "flow"},
+        {TraceOp::Makespan, "makespan"},
+        {TraceOp::HacTx, "hac_tx"},
+        {TraceOp::HacAdj, "hac_adj"},
+        {TraceOp::Synchronize, "synchronize"},
+        {TraceOp::LaunchAligned, "launch_aligned"},
+        {TraceOp::LaunchRaw, "launch_raw"},
+        {TraceOp::Completed, "completed"},
+    };
+    // The table lists every op once, in declaration order.
+    ASSERT_EQ(std::size(names), unsigned(TraceOp::Completed) + 1);
+    for (unsigned i = 0; i < std::size(names); ++i) {
+        EXPECT_EQ(unsigned(names[i].first), i);
+        EXPECT_STREQ(traceOpName(names[i].first), names[i].second);
+    }
+    for (unsigned o = 0; o < kNumOps; ++o)
+        EXPECT_STREQ(traceOpName(TraceOp(Op(o))), opName(Op(o)));
+}
+
 TEST(ChromeTrace, WellFormedJsonArray)
 {
     std::ostringstream os;
     {
         ChromeTraceSink sink(os);
-        sink.event({2 * kPsPerUs, kPsPerUs, TraceCat::Chip, 3, "SEND",
-                    7, 9});
-        sink.event({5 * kPsPerUs, 0, TraceCat::Net, 1, "rx", 2, 4});
+        sink.event({2 * kPsPerUs, kPsPerUs, TraceCat::Chip,
+                    TraceOp(Op::Send), 3, 7, 9});
+        sink.event({5 * kPsPerUs, 0, TraceCat::Net, TraceOp::Rx, 1, 2, 4});
         sink.finish();
         EXPECT_EQ(sink.eventsWritten(), 2u);
     }
@@ -151,7 +213,7 @@ TEST(ChromeTrace, FinishIsIdempotentAndDtorFinishes)
     std::ostringstream os;
     {
         ChromeTraceSink sink(os);
-        sink.event({1, 0, TraceCat::Net, 0, "tx", 0, 0});
+        sink.event({1, 0, TraceCat::Net, TraceOp::Tx, 0, 0, 0});
         sink.finish();
         sink.finish();
         // Destructor runs here; must not close the array again.
@@ -200,9 +262,9 @@ TEST(Metrics, RegistryCountersAndAccumulators)
 TEST(Metrics, SinkFoldsEventsByCategoryAndName)
 {
     MetricsSink sink;
-    sink.event({0, 0, TraceCat::Net, 1, "tx", 0, 0});
-    sink.event({1, 2 * kPsPerUs, TraceCat::Net, 1, "tx", 0, 0});
-    sink.event({2, 0, TraceCat::Chip, 0, "SEND", 0, 0});
+    sink.event({0, 0, TraceCat::Net, TraceOp::Tx, 1, 0, 0});
+    sink.event({1, 2 * kPsPerUs, TraceCat::Net, TraceOp::Tx, 1, 0, 0});
+    sink.event({2, 0, TraceCat::Chip, TraceOp(Op::Send), 0, 0, 0});
 
     const MetricsRegistry &reg = sink.registry();
     EXPECT_EQ(reg.counterValue("net.tx"), 2u);
@@ -215,8 +277,8 @@ TEST(Metrics, SinkFoldsEventsByCategoryAndName)
 
 TEST(Digest, StableAndOrderSensitive)
 {
-    const TraceEvent e1{1, 0, TraceCat::Chip, 0, "a", 1, 2};
-    const TraceEvent e2{2, 0, TraceCat::Net, 1, "b", 3, 4};
+    const TraceEvent e1{1, 0, TraceCat::Chip, TraceOp(Op::Nop), 0, 1, 2};
+    const TraceEvent e2{2, 0, TraceCat::Net, TraceOp::Tx, 1, 3, 4};
 
     DigestSink d1, d2, d3;
     EXPECT_EQ(d1.digest(), kFnvOffsetBasis);
@@ -239,7 +301,7 @@ TEST(Digest, StableAndOrderSensitive)
 
 TEST(Digest, SensitiveToEveryField)
 {
-    const TraceEvent base{1, 2, TraceCat::Chip, 3, "n", 4, 5};
+    const TraceEvent base{1, 2, TraceCat::Chip, TraceOp(Op::Nop), 3, 4, 5};
     const auto hash = [](TraceEvent ev) {
         DigestSink d;
         d.event(ev);
@@ -260,7 +322,7 @@ TEST(Digest, SensitiveToEveryField)
     m.actor = 9;
     EXPECT_NE(hash(m), h0);
     m = base;
-    m.name = "m";
+    m.op = TraceOp(Op::VAdd);
     EXPECT_NE(hash(m), h0);
     m = base;
     m.a = 9;
