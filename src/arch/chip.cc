@@ -136,15 +136,10 @@ TspChip::issue()
             scheduleIssue(scheduled);
             return;
         }
-        if (scheduled < now()) {
-            if (strictSchedule_) {
-                panic("tsp{}: instruction {} ({}) reached {}ps after its "
-                      "scheduled issue — static schedule violated",
-                      id_, pc_, i.str(), now() - scheduled);
-            }
-            warn("tsp{}: instruction {} issues {}ps late", id_, pc_,
-                 now() - scheduled);
-        }
+        if (scheduled < now())
+            panic("tsp{}: instruction {} ({}) reached {}ps after its "
+                  "scheduled issue — static schedule violated",
+                  id_, pc_, i.str(), now() - scheduled);
     }
 
     const Tick next = execute(i);

@@ -121,13 +121,6 @@ class TspChip : public SimObject, public FlitSink
     /** Callback invoked when the program executes Halt. */
     void onHalt(std::function<void()> cb) { onHalt_ = std::move(cb); }
 
-    /**
-     * When true (default), an instruction reached after its scheduled
-     * issueAt cycle is a panic; when false it issues late with a
-     * warning (used by drift experiments that quantify slip).
-     */
-    void setStrictSchedule(bool strict) { strictSchedule_ = strict; }
-
     /// @}
 
     /// @name Direct state access (program setup and verification)
@@ -197,7 +190,6 @@ class TspChip : public SimObject, public FlitSink
     Program program_;
     std::size_t pc_ = 0;
     bool running_ = false;
-    bool strictSchedule_ = true;
 
     /** Additive corrections to the free-running cycle counters. */
     std::int64_t hacOffset_ = 0;

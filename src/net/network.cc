@@ -204,13 +204,6 @@ Network::arrive(std::uint32_t idx)
     rx_[f.dst][f.port].push(std::move(f.af));
 }
 
-Tick
-Network::transmitNow(TspId src, LinkId l, Flit flit)
-{
-    return transmit(src, l, std::move(flit),
-                    earliestDeparture(src, l, eventq_->now()));
-}
-
 const RxRing *
 Network::rxRing(TspId tsp, unsigned port) const
 {
@@ -235,12 +228,6 @@ Network::rxDepth(TspId tsp, unsigned port) const
 {
     const RxRing *ring = rxRing(tsp, port);
     return ring ? ring->size() : 0;
-}
-
-const Network::Occupant &
-Network::lastOccupant(TspId src, LinkId l) const
-{
-    return directions_[dirIndex(l, src)].occupant;
 }
 
 std::uint64_t

@@ -171,9 +171,6 @@ class Network
      */
     Tick transmit(TspId src, LinkId l, Flit flit, Tick depart);
 
-    /** Convenience: transmit at the current tick. */
-    Tick transmitNow(TspId src, LinkId l, Flit flit);
-
     /**
      * Transmit a control flit (HAC exchange, sync tokens). Control
      * traffic rides the line code's reserved symbols (the HAC reserves
@@ -199,7 +196,19 @@ class Network
     /** Number of flits waiting at (tsp, port). */
     std::size_t rxDepth(TspId tsp, unsigned port) const;
 
-    /** The transmit that most recently occupied one link direction. */
+    const LinkStats &linkStats(LinkId l) const { return stats_[l]; }
+
+    /** Sum of flits carried over all links. */
+    std::uint64_t totalFlits() const;
+
+    /** Total uncorrectable errors detected across all links. */
+    std::uint64_t totalMbes() const;
+
+  private:
+    /**
+     * The transmit that most recently occupied one link direction,
+     * named when a later transmit conflicts with its window.
+     */
     struct Occupant
     {
         FlowId flow = kFlowInvalid;
@@ -210,23 +219,6 @@ class Network
         Tick depart = 0;
     };
 
-    /**
-     * Who last held the transmitter of (l, from `src`), and when.
-     * The enqueue-time half of contention attribution: any transmit
-     * pushed past `earliest` by earliestDeparture() was pushed by
-     * exactly this occupant's serialization window.
-     */
-    const Occupant &lastOccupant(TspId src, LinkId l) const;
-
-    const LinkStats &linkStats(LinkId l) const { return stats_[l]; }
-
-    /** Sum of flits carried over all links. */
-    std::uint64_t totalFlits() const;
-
-    /** Total uncorrectable errors detected across all links. */
-    std::uint64_t totalMbes() const;
-
-  private:
     /** Overridden physical timing of one link (setLinkTiming). */
     struct LinkTiming
     {

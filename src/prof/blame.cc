@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "common/format.hh"
+#include "prof/ssn_analysis.hh"
 #include "scenario/scenario.hh"
 #include "trace/span.hh"
 
@@ -46,6 +47,82 @@ sharesSum(const Json &shares)
 }
 
 } // namespace
+
+ScheduleBlame
+scheduleBlame(const NetworkSchedule &sched, const Topology &topo)
+{
+    ScheduleBlame blame;
+    const ScheduleGraph graph(sched, topo);
+    const Cycle window = kScheduleWindowCycles;
+
+    // The current flow's link sequences so far, each with the cycle
+    // its next vector may inject (the scheduler's next_inject). A
+    // flow's vectors are contiguous in schedule order.
+    struct PathCursor
+    {
+        std::uint32_t vec; ///< last vector of the flow on this path
+        Cycle next;
+    };
+    std::vector<PathCursor> cursors;
+    auto samePath = [](const ScheduledVector &a, const ScheduledVector &b) {
+        return std::equal(a.hops.begin(), a.hops.end(), b.hops.begin(),
+                          b.hops.end(),
+                          [](const ScheduledHop &x, const ScheduledHop &y) {
+                              return x.link == y.link;
+                          });
+    };
+
+    std::size_t node = 0;
+    for (std::uint32_t v = 0; v < sched.vectors.size(); ++v) {
+        const ScheduledVector &sv = sched.vectors[v];
+        if (v == 0 || sched.vectors[v - 1].flow != sv.flow)
+            cursors.clear();
+        auto cursor = std::find_if(
+            cursors.begin(), cursors.end(), [&](const PathCursor &c) {
+                return samePath(sched.vectors[c.vec], sv);
+            });
+        const PathCursor next{v, sv.hops.front().depart + window};
+        Cycle ready = 0;
+        if (cursor != cursors.end()) {
+            ready = cursor->next;
+            *cursor = next;
+        } else {
+            ready = flowEarliest(sched, sv.flow);
+            cursors.push_back(next);
+        }
+
+        for (std::size_t h = 0; h < sv.hops.size(); ++h, ++node) {
+            const ScheduleGraph::Hop &hop = graph.hops[node];
+            if (h > 0)
+                ready = sv.hops[h - 1].arrive + forwardCycles();
+            if (hop.depart <= ready)
+                continue;
+            // Windows on a direction are disjoint, so walking back from
+            // the hop finds every window overlapping [ready, depart)
+            // before the first one that ends by `ready`.
+            const Cycle delay = hop.depart - ready;
+            Cycle covered = 0;
+            for (std::int32_t q = hop.prevDir; q != -1;
+                 q = graph.hops[q].prevDir) {
+                const ScheduleGraph::Hop &w = graph.hops[q];
+                if (w.depart + window <= ready)
+                    break;
+                if (w.vec >= v)
+                    continue; // reserved after this vector was placed
+                const Cycle share = std::min(hop.depart, w.depart + window) -
+                                    std::max(ready, w.depart);
+                const FlowId owner = sched.vectors[w.vec].flow;
+                covered += share;
+                blame.flowPairCycles[sv.flow][owner] += share;
+                blame.linkFlowCycles[hop.link][owner] += share;
+            }
+            blame.issueDelayCycles += delay - covered;
+            blame.flowDelayCycles[sv.flow] += delay;
+            blame.totalDelayCycles += delay;
+        }
+    }
+    return blame;
+}
 
 void
 WaitShares::accumulate(const WaitShares &other)
@@ -226,8 +303,7 @@ void
 BlameCollector::setSchedule(const NetworkSchedule &sched,
                             const Topology &topo)
 {
-    (void)topo;
-    const ScheduleBlame &blame = sched.blame;
+    const ScheduleBlame blame = scheduleBlame(sched, topo);
     Json doc = Json::object();
     doc.set("total_delay_cycles",
             std::uint64_t(blame.totalDelayCycles));
@@ -287,7 +363,7 @@ Json
 BlameCollector::report() const
 {
     Json doc = documentHead(kBlameSchema);
-    doc.set("source", source_);
+    doc.set("source", "ssn");
 
     // Totals over every paired recv, all hops.
     WaitShares all;

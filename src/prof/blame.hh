@@ -30,8 +30,12 @@
  *    identity, and a windowed per-link contention grid
  *    (telemetry/contention.hh).
  *
+ * Static blame (scheduleBlame) answers the same question at compile
+ * time, from the finished schedule: which flows' serialization
+ * windows pushed each vector's departures past their ready cycles.
+ *
  * A `BlameCollector` bundles the sink with run identity plus the
- * scheduler's compile-time attribution (ScheduleBlame) and emits one
+ * static blame of the run's schedule and emits one
  * byte-deterministic `tsm-blame-v1` document. Like the host profile,
  * it is a separate document on purpose: enabling --blame must not
  * perturb any other artifact.
@@ -113,6 +117,47 @@ struct LinkBlame
     Tick waitPs = 0;
     WaitShares shares;
 };
+
+/**
+ * Static (compile-time) contention attribution. Every cycle a vector
+ * was pushed past its ready time during scheduling is charged either
+ * to the flow whose reserved serialization window occupied the link
+ * direction, or to the per-chip instruction-issue limit ("issue").
+ * Keys are std::maps so iteration — and thus any serialized form —
+ * is deterministic.
+ */
+struct ScheduleBlame
+{
+    /** blocked flow -> blocking flow -> cycles of induced delay. */
+    std::map<FlowId, std::map<FlowId, Cycle>> flowPairCycles;
+
+    /** link -> blocking flow -> cycles of delay it induced there. */
+    std::map<LinkId, std::map<FlowId, Cycle>> linkFlowCycles;
+
+    /** blocked flow -> total delay cycles (link + issue). */
+    std::map<FlowId, Cycle> flowDelayCycles;
+
+    /** All delay cycles across all vectors and hops. */
+    Cycle totalDelayCycles = 0;
+
+    /** Share of the delay due to the one-send-per-chip issue limit. */
+    Cycle issueDelayCycles = 0;
+};
+
+/**
+ * Who delayed whom in a finished schedule, recomputed as a pass over
+ * its ScheduleGraph. A hop's delay is its departure minus its ready
+ * cycle: the previous hop's arrival plus the forward pipeline, or for
+ * hop 0 the cycle the scheduler let the vector inject on its path (the
+ * flow's earliest cycle for the first vector on a link sequence, then
+ * the previous such vector's departure plus one window). The delay is
+ * charged to the windows on the hop's link direction that overlap it
+ * and that belong to vectors earlier in schedule order — the windows
+ * the scheduler had reserved when it placed the hop; the uncovered
+ * rest is the chip's issue limit. Flow ids must be unique.
+ */
+ScheduleBlame scheduleBlame(const NetworkSchedule &sched,
+                            const Topology &topo);
 
 /** Folds the trace stream into blame accounts. Purely passive. */
 class BlameSink : public TraceSink
@@ -208,15 +253,9 @@ class BlameCollector : public Observer
     const BlameSink &sink() const { return sink_; }
 
     /**
-     * Attribution source: "ssn" (default, byte-stable across seeds)
-     * or "hw_router" (fig08's hardware baseline, seed-dependent).
-     */
-    void setSource(std::string source) { source_ = std::move(source); }
-
-    /**
-     * Attach the scheduler's compile-time attribution; enables the
+     * Attach the static blame of the run's schedule; enables the
      * document's "schedule" section (who pushed whose departures,
-     * resolved while the schedule was built).
+     * recomputed from the finished schedule).
      */
     void setSchedule(const NetworkSchedule &sched, const Topology &topo);
 
@@ -229,7 +268,6 @@ class BlameCollector : public Observer
 
   private:
     BlameSink sink_;
-    std::string source_ = "ssn";
     std::optional<Json> schedule_;
 };
 

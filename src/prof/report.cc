@@ -50,16 +50,14 @@ ProfileCollector::onCompiled(const RunIdentity &run,
 {
     Observer::onCompiled(run, compiled);
     if (compiled)
-        setSchedule(compiled->schedule, compiled->topo,
-                    compiled->lowered.transfers);
+        setSchedule(compiled->schedule, compiled->topo);
 }
 
 void
 ProfileCollector::setSchedule(const NetworkSchedule &sched,
-                              const Topology &topo,
-                              const std::vector<TensorTransfer> &transfers)
+                              const Topology &topo)
 {
-    analysis_ = analyzeSchedule(sched, topo, transfers);
+    analysis_ = analyzeSchedule(sched, topo);
 }
 
 void

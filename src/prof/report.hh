@@ -55,8 +55,7 @@ class ProfileCollector : public Observer
      * enables the report's "ssn" section (critical path,
      * predicted-vs-simulated completion).
      */
-    void setSchedule(const NetworkSchedule &sched, const Topology &topo,
-                     const std::vector<TensorTransfer> &transfers = {});
+    void setSchedule(const NetworkSchedule &sched, const Topology &topo);
 
     /** Extra scalar fields for the report's "extra" object. */
     void addExtra(const std::string &key, double value);

@@ -1,7 +1,8 @@
 #include "prof/ssn_analysis.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <numeric>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -18,162 +19,137 @@ critEdgeName(CritEdge e)
     return "?";
 }
 
-namespace {
-
-/**
- * Serialization window per vector per link direction, in cycles. Must
- * match the ReservationLedger default the scheduler builds with (and
- * the hard-coded window in validateSchedule).
- */
-constexpr Cycle kWindowCycles = 24;
-
-/** Position of one hop in the schedule, sortable by departure. */
-struct HopRef
+Cycle
+flowEarliest(const NetworkSchedule &sched, FlowId flow)
 {
-    Cycle depart;
-    std::uint32_t vec;
-    std::uint32_t hop;
-
-    bool operator<(const HopRef &o) const { return depart < o.depart; }
-};
-
-/** Latest entry departing strictly before `cycle`, or nullptr. */
-const HopRef *
-latestBefore(const std::vector<HopRef> &sorted, Cycle cycle)
-{
-    auto it = std::lower_bound(sorted.begin(), sorted.end(),
-                               HopRef{cycle, 0, 0});
-    if (it == sorted.begin())
-        return nullptr;
-    return &*std::prev(it);
+    auto it = sched.flows.find(flow);
+    return it == sched.flows.end() ? Cycle(0) : it->second.earliest;
 }
 
-} // namespace
+ScheduleGraph::ScheduleGraph(const NetworkSchedule &sched,
+                             const Topology &topo)
+{
+    for (std::uint32_t v = 0; v < sched.vectors.size(); ++v) {
+        const ScheduledVector &sv = sched.vectors[v];
+        for (std::uint32_t h = 0; h < sv.hops.size(); ++h) {
+            const ScheduledHop &sh = sv.hops[h];
+            Hop n;
+            n.link = sh.link;
+            n.from = sh.from;
+            n.depart = sh.depart;
+            n.arrive = sh.arrive;
+            n.vec = v;
+            n.hop = h;
+            n.prevInVec = h == 0 ? -1 : std::int32_t(hops.size()) - 1;
+            hops.push_back(n);
+        }
+    }
+
+    // Hops are stored in (vector, hop) order, so ties on departure
+    // break by index.
+    departureOrder.resize(hops.size());
+    std::iota(departureOrder.begin(), departureOrder.end(), 0);
+    std::sort(departureOrder.begin(), departureOrder.end(),
+              [this](std::int32_t a, std::int32_t b) {
+                  return hops[a].depart != hops[b].depart
+                             ? hops[a].depart < hops[b].depart
+                             : a < b;
+              });
+
+    const auto &links = topo.links();
+    std::vector<std::int32_t> lastDir(links.size() * 2, -1);
+    std::vector<std::int32_t> lastIssue(topo.numTsps(), -1);
+    for (std::int32_t i : departureOrder) {
+        Hop &n = hops[i];
+        const std::size_t dir =
+            std::size_t(n.link) * 2 + (n.from == links[n.link].a ? 0 : 1);
+        n.prevDir = std::exchange(lastDir[dir], i);
+        n.prevIssue = std::exchange(lastIssue[n.from], i);
+    }
+}
 
 SsnAnalysis
-analyzeSchedule(const NetworkSchedule &sched, const Topology &topo,
-                const std::vector<TensorTransfer> &transfers)
+analyzeSchedule(const NetworkSchedule &sched, const Topology &topo)
 {
     SsnAnalysis out;
     out.makespan = sched.makespan;
     if (sched.vectors.empty())
         return out;
+    const ScheduleGraph graph(sched, topo);
 
-    std::unordered_map<FlowId, Cycle> earliestOf;
-    for (const TensorTransfer &t : transfers)
-        earliestOf[t.flow] = t.earliest;
-    auto flowEarliest = [&](FlowId f) -> Cycle {
-        auto it = earliestOf.find(f);
-        return it == earliestOf.end() ? Cycle(0) : it->second;
-    };
-
-    // Index every hop by link direction and by transmitting chip so
-    // the walk can find the vector occupying the preceding
-    // serialization window / issue slot.
-    std::unordered_map<std::uint64_t, std::vector<HopRef>> byDir;
-    std::unordered_map<TspId, std::vector<HopRef>> byChip;
-    for (std::uint32_t v = 0; v < sched.vectors.size(); ++v) {
-        const ScheduledVector &sv = sched.vectors[v];
-        for (std::uint32_t h = 0; h < sv.hops.size(); ++h) {
-            const ScheduledHop &hop = sv.hops[h];
-            const Link &link = topo.links()[hop.link];
-            const std::uint64_t dir = std::uint64_t(hop.link) * 2 +
-                                      (link.a == hop.from ? 0 : 1);
-            byDir[dir].push_back({hop.depart, v, h});
-            byChip[hop.from].push_back({hop.depart, v, h});
-        }
-    }
-    for (auto &[dir, refs] : byDir)
-        std::sort(refs.begin(), refs.end());
-    for (auto &[chip, refs] : byChip)
-        std::sort(refs.begin(), refs.end());
-
-    // Earliest cycle hop `h` of `sv` could have departed, ignoring
-    // link/issue-slot contention.
-    auto minFeasible = [&](const ScheduledVector &sv, std::size_t h) {
-        if (h == 0)
-            return flowEarliest(sv.flow);
-        const Link &prev = topo.links()[sv.hops[h - 1].link];
-        (void)prev;
-        return sv.hops[h - 1].arrive + forwardCycles();
+    // Earliest cycle a hop could have departed, ignoring link and
+    // issue-slot contention.
+    auto minFeasible = [&](const ScheduleGraph::Hop &n) -> Cycle {
+        if (n.prevInVec >= 0)
+            return graph.hops[n.prevInVec].arrive + forwardCycles();
+        return flowEarliest(sched, sched.vectors[n.vec].flow);
     };
 
     // Whole-schedule slack accounting.
-    for (const ScheduledVector &sv : sched.vectors) {
-        for (std::size_t h = 0; h < sv.hops.size(); ++h) {
-            const Cycle feasible = minFeasible(sv, h);
-            TSM_ASSERT(sv.hops[h].depart >= feasible,
-                       "schedule violates its own feasibility bound");
-            const Cycle wait = sv.hops[h].depart - feasible;
-            out.hopSlack.add(double(wait));
-            ++out.hopsTotal;
-            if (wait > 0) {
-                ++out.contendedHops;
-                out.contentionFree = false;
-            }
+    for (const ScheduleGraph::Hop &n : graph.hops) {
+        const Cycle feasible = minFeasible(n);
+        TSM_ASSERT(n.depart >= feasible,
+                   "schedule violates its own feasibility bound");
+        const Cycle wait = n.depart - feasible;
+        out.hopSlack.add(double(wait));
+        ++out.hopsTotal;
+        if (wait > 0) {
+            ++out.contendedHops;
+            out.contentionFree = false;
         }
     }
 
-    // Critical-path walk: start from the makespan-defining arrival and
-    // follow the binding constraint backwards.
-    std::uint32_t vi = 0;
-    for (std::uint32_t v = 0; v < sched.vectors.size(); ++v) {
-        if (sched.vectors[v].arrival() == sched.makespan) {
-            vi = v;
-            break;
-        }
-    }
-    std::uint32_t hi = std::uint32_t(sched.vectors[vi].hops.size()) - 1;
+    // Critical-path walk: start from the makespan-defining arrival (the
+    // last hop of the first vector to arrive then) and follow the
+    // binding constraint backwards.
+    const auto last =
+        std::find_if(graph.hops.begin(), graph.hops.end(),
+                     [&](const ScheduleGraph::Hop &n) {
+                         return n.arrive == sched.makespan;
+                     });
+    TSM_ASSERT(last != graph.hops.end(),
+               "no vector arrives at the schedule's makespan");
+    std::int32_t at = std::int32_t(last - graph.hops.begin());
 
     std::vector<CritHop> path; // built back-to-front
     for (std::uint64_t guard = 0; guard <= out.hopsTotal; ++guard) {
-        const ScheduledVector &sv = sched.vectors[vi];
-        const ScheduledHop &hop = sv.hops[hi];
-        const Link &link = topo.links()[hop.link];
-        const Cycle feasible = minFeasible(sv, hi);
-        const Cycle wait = hop.depart - feasible;
+        const ScheduleGraph::Hop &n = graph.hops[at];
+        const ScheduledVector &sv = sched.vectors[n.vec];
+        const Cycle feasible = minFeasible(n);
+        const Cycle wait = n.depart - feasible;
 
         CritHop ch;
-        ch.link = hop.link;
-        ch.from = hop.from;
+        ch.link = n.link;
+        ch.from = n.from;
         ch.flow = sv.flow;
         ch.seq = sv.seq;
-        ch.depart = hop.depart;
-        ch.arrive = hop.arrive;
+        ch.depart = n.depart;
+        ch.arrive = n.arrive;
         ch.wait = wait;
         ch.edge = wait > 0 ? CritEdge::Contention
-                  : hi > 0 ? CritEdge::Pipeline
-                           : CritEdge::Start;
+                  : n.hop > 0 ? CritEdge::Pipeline
+                              : CritEdge::Start;
+        path.push_back(ch);
 
-        // Find the predecessor the constraint points at.
-        bool jumped = false;
+        // Find the predecessor the constraint points at: preferably
+        // the window this hop waited behind on its link direction,
+        // otherwise the chip's one-send-per-cycle issue slot.
         if (wait > 0) {
-            // Prefer the vector whose serialization window this hop
-            // waited behind on the same link direction.
-            const std::uint64_t dir = std::uint64_t(hop.link) * 2 +
-                                      (link.a == hop.from ? 0 : 1);
-            if (const HopRef *blk = latestBefore(byDir[dir], hop.depart);
-                blk && blk->depart + kWindowCycles > feasible &&
-                !(blk->vec == vi && blk->hop == hi)) {
-                vi = blk->vec;
-                hi = blk->hop;
-                jumped = true;
-            } else if (const HopRef *slot =
-                           latestBefore(byChip[hop.from], hop.depart);
-                       !jumped && slot && slot->depart + 1 == hop.depart &&
-                       !(slot->vec == vi && slot->hop == hi)) {
-                // Otherwise the chip's one-send-per-cycle issue slot.
-                vi = slot->vec;
-                hi = slot->hop;
-                jumped = true;
+            if (n.prevDir >= 0 &&
+                graph.hops[n.prevDir].depart + kScheduleWindowCycles >
+                    feasible) {
+                at = n.prevDir;
+                continue;
+            }
+            if (n.prevIssue >= 0 &&
+                graph.hops[n.prevIssue].depart + 1 == n.depart) {
+                at = n.prevIssue;
+                continue;
             }
         }
-        path.push_back(ch);
-        if (!jumped) {
-            if (hi == 0)
-                break; // reached an injection point
-            --hi;      // forward-pipeline dependence on the prior hop
-        }
+        if (n.prevInVec < 0)
+            break;        // reached an injection point
+        at = n.prevInVec; // forward-pipeline dependence on the prior hop
     }
     std::reverse(path.begin(), path.end());
 

@@ -17,6 +17,9 @@
  * The profiler (prof/profiler.hh) pairs this static prediction with
  * the simulated timeline; on a drift-free run the two must agree
  * exactly, which tests/prof/ssn_analysis_test.cc pins.
+ *
+ * The critical path, static blame (prof/blame.hh) and the what-if
+ * engine (prof/whatif.hh) are three passes over one ScheduleGraph.
  */
 
 #ifndef TSM_PROF_SSN_ANALYSIS_HH
@@ -28,6 +31,46 @@
 #include "ssn/scheduler.hh"
 
 namespace tsm {
+
+/**
+ * A finished schedule as a constraint graph. Every hop is a node, in
+ * schedule order (vector by vector, hop by hop), linked to the three
+ * hops that can bound its departure: the previous hop of its vector,
+ * the previous serialization window on its link direction and the
+ * previous send from its chip. Windows on one direction never share
+ * a cycle, and neither do two sends from one chip, so those two links
+ * name the latest such hop departing strictly earlier.
+ */
+struct ScheduleGraph
+{
+    struct Hop
+    {
+        LinkId link = kLinkInvalid;
+        TspId from = kTspInvalid;
+        Cycle depart = 0;
+        Cycle arrive = 0;
+        std::uint32_t vec = 0;       ///< index into the schedule's vectors
+        std::uint32_t hop = 0;       ///< position in the vector's itinerary
+        std::int32_t prevInVec = -1; ///< previous hop of this vector
+        std::int32_t prevDir = -1;   ///< previous window on (link, dir)
+        std::int32_t prevIssue = -1; ///< previous send by this chip
+    };
+
+    ScheduleGraph(const NetworkSchedule &sched, const Topology &topo);
+
+    /** Every hop, in schedule order. */
+    std::vector<Hop> hops;
+
+    /**
+     * Hop indices by (depart, vector, hop): every constraint
+     * predecessor of a hop comes before it, so one forward pass over
+     * this order sees all of a hop's inputs resolved.
+     */
+    std::vector<std::int32_t> departureOrder;
+};
+
+/** A flow's earliest injection cycle; 0 for a flow with no summary. */
+Cycle flowEarliest(const NetworkSchedule &sched, FlowId flow);
 
 /** Why a critical-path hop departed when it did. */
 enum class CritEdge : std::uint8_t
@@ -119,14 +162,12 @@ struct SsnAnalysis
 };
 
 /**
- * Analyze `sched` against `topo`. `transfers`, when provided, supplies
- * each flow's earliest injection cycle so source-side waits can be
- * separated from injection constraints; without it flows are assumed
- * injectable at cycle 0.
+ * Analyze `sched` against `topo`. Each flow's earliest injection cycle
+ * (FlowSummary::earliest) separates source-side waits from injection
+ * constraints.
  */
 SsnAnalysis analyzeSchedule(const NetworkSchedule &sched,
-                            const Topology &topo,
-                            const std::vector<TensorTransfer> &transfers = {});
+                            const Topology &topo);
 
 } // namespace tsm
 

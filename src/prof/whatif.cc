@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <set>
 
 #include "common/table.hh"
 #include "common/units.hh"
 #include "net/link_params.hh"
-#include "prof/ssn_analysis.hh"
 #include "scenario/scenario.hh"
 #include "ssn/reservation.hh"
 #include "ssn/transfer.hh"
@@ -34,6 +34,25 @@ leverKindName(LeverKind k)
 }
 
 namespace {
+
+/** Speedup factor of the collector's lever catalog. */
+constexpr double kLeverFactor = 2.0;
+
+/** Levers serialized into the document (all are still ranked). */
+constexpr std::size_t kMaxLevers = 64;
+
+/**
+ * A flow's injection cycle under `p`: the fu_throughput lever makes
+ * flows sourced at its chip injectable `factor` times earlier.
+ */
+Cycle
+perturbedEarliest(const Perturbation &p, TspId src, Cycle earliest)
+{
+    if (p.kind == LeverKind::FuThroughput && p.target == src &&
+        p.factor > 0.0)
+        return Cycle(std::llround(double(earliest) / p.factor));
+    return earliest;
+}
 
 std::string
 factorText(double factor)
@@ -78,68 +97,18 @@ Perturbation::key() const
 }
 
 WhatIfEngine::WhatIfEngine(const NetworkSchedule &sched,
-                           const Topology &topo,
-                           const std::vector<TensorTransfer> &transfers)
-    : sched_(&sched), topo_(&topo), transfers_(transfers)
+                           const Topology &topo)
+    : sched_(&sched), topo_(&topo), graph_(sched, topo)
 {
-    for (const TensorTransfer &t : transfers_)
-        flowEarliest_[t.flow] = t.earliest;
-
     std::set<FlowId> flowSet;
     std::set<LinkId> linkSet;
-    for (std::uint32_t v = 0; v < sched_->vectors.size(); ++v) {
-        const ScheduledVector &sv = sched_->vectors[v];
+    for (const ScheduledVector &sv : sched_->vectors) {
         flowSet.insert(sv.flow);
-        for (std::uint32_t h = 0; h < sv.hops.size(); ++h) {
-            const ScheduledHop &sh = sv.hops[h];
+        for (const ScheduledHop &sh : sv.hops)
             linkSet.insert(sh.link);
-            HopNode n;
-            n.link = sh.link;
-            n.from = sh.from;
-            n.depart = sh.depart;
-            n.arrive = sh.arrive;
-            n.vec = v;
-            n.hop = h;
-            n.prevInVec = h == 0 ? -1 : std::int32_t(nodes_.size()) - 1;
-            nodes_.push_back(n);
-        }
     }
     flowOrder_.assign(flowSet.begin(), flowSet.end());
     usedLinks_.assign(linkSet.begin(), linkSet.end());
-
-    // Process hops in departure order: every constraint predecessor
-    // (previous hop of the vector, previous window on the direction,
-    // previous issue slot on the chip) departs strictly earlier, so a
-    // single forward pass over this order sees all inputs resolved.
-    order_.resize(nodes_.size());
-    for (std::size_t i = 0; i < order_.size(); ++i)
-        order_[i] = std::int32_t(i);
-    std::sort(order_.begin(), order_.end(),
-              [this](std::int32_t a, std::int32_t b) {
-                  const HopNode &na = nodes_[a];
-                  const HopNode &nb = nodes_[b];
-                  if (na.depart != nb.depart)
-                      return na.depart < nb.depart;
-                  if (na.vec != nb.vec)
-                      return na.vec < nb.vec;
-                  return na.hop < nb.hop;
-              });
-
-    std::map<std::uint64_t, std::int32_t> lastDir;
-    std::map<TspId, std::int32_t> lastIssue;
-    const auto &links = topo_->links();
-    for (std::int32_t i : order_) {
-        HopNode &n = nodes_[i];
-        const std::uint64_t dkey =
-            std::uint64_t(n.link) * 2 +
-            (n.from == links[n.link].a ? 0 : 1);
-        if (auto it = lastDir.find(dkey); it != lastDir.end())
-            n.prevDir = it->second;
-        lastDir[dkey] = i;
-        if (auto it = lastIssue.find(n.from); it != lastIssue.end())
-            n.prevIssue = it->second;
-        lastIssue[n.from] = i;
-    }
 }
 
 WhatIfEngine::Recompute
@@ -173,43 +142,35 @@ WhatIfEngine::recompute(const Perturbation &p) const
         }
         return kScheduleWindowCycles;
     };
-    auto earliest = [&](FlowId flow) {
-        Cycle e = 0;
-        if (auto it = flowEarliest_.find(flow); it != flowEarliest_.end())
-            e = it->second;
-        // Scale only flows produced on the perturbed chip.
-        if (p.kind == LeverKind::FuThroughput && e > 0)
-            for (const TensorTransfer &t : transfers_)
-                if (t.flow == flow && t.src == p.target)
-                    e = Cycle(std::llround(double(e) / f));
-        return e;
-    };
 
     const FlowId removedFlow =
         p.kind == LeverKind::FlowRemoval ? FlowId(p.target) : kFlowInvalid;
 
+    const auto &nodes = graph_.hops;
     Recompute r;
-    r.depart.resize(nodes_.size(), 0);
-    r.arrive.resize(nodes_.size(), 0);
-    r.removed.resize(nodes_.size(), false);
-    for (std::int32_t i : order_) {
-        const HopNode &n = nodes_[i];
+    r.depart.resize(nodes.size(), 0);
+    r.arrive.resize(nodes.size(), 0);
+    r.removed.resize(nodes.size(), false);
+    for (std::int32_t i : graph_.departureOrder) {
+        const ScheduleGraph::Hop &n = nodes[i];
         const FlowId flow = sched_->vectors[n.vec].flow;
         if (flow == removedFlow) {
             r.removed[i] = true;
             continue;
         }
-        Cycle c = n.hop == 0 ? earliest(flow)
-                             : r.arrive[n.prevInVec] + forwardCycles();
-        for (std::int32_t q = n.prevDir; q != -1; q = nodes_[q].prevDir) {
+        // Hop 0 departs from the flow's source chip.
+        Cycle c = n.hop > 0 ? r.arrive[n.prevInVec] + forwardCycles()
+                            : perturbedEarliest(p, n.from,
+                                                flowEarliest(*sched_, flow));
+        for (std::int32_t q = n.prevDir; q != -1; q = nodes[q].prevDir) {
             if (r.removed[q])
                 continue;
             // Same direction implies same link as n.
-            c = std::max(c, r.depart[q] + window(nodes_[q].link));
+            c = std::max(c, r.depart[q] + window(nodes[q].link));
             break;
         }
         for (std::int32_t q = n.prevIssue; q != -1;
-             q = nodes_[q].prevIssue) {
+             q = nodes[q].prevIssue) {
             if (r.removed[q])
                 continue;
             c = std::max(c, r.depart[q] + 1);
@@ -296,6 +257,8 @@ WhatIfEngine::rebuild(const Perturbation &p) const
         if (fs.vectors == 0) {
             fs.flow = sv.flow;
             fs.firstDeparture = sv.departure();
+            fs.earliest = perturbedEarliest(p, sv.hops.front().from,
+                                            flowEarliest(*sched_, sv.flow));
             if (auto it = sched_->flows.find(sv.flow);
                 it != sched_->flows.end())
                 fs.pathsUsed = it->second.pathsUsed;
@@ -305,17 +268,6 @@ WhatIfEngine::rebuild(const Perturbation &p) const
         ++fs.vectors;
     }
     cf.schedule.makespan = r.makespan;
-
-    for (const TensorTransfer &t : transfers_) {
-        if (t.flow == removedFlow)
-            continue;
-        TensorTransfer out = t;
-        if (p.kind == LeverKind::FuThroughput && t.src == p.target &&
-            p.factor > 0.0)
-            out.earliest =
-                Cycle(std::llround(double(t.earliest) / p.factor));
-        cf.transfers.push_back(out);
-    }
 
     if ((p.kind == LeverKind::LinkLatency ||
          p.kind == LeverKind::LinkBandwidth) &&
@@ -348,9 +300,9 @@ WhatIfEngine::enumerateLevers(double factor) const
     // Compute levers only where they can matter: chips that source a
     // flow whose producer finishes after cycle 0.
     std::set<TspId> sources;
-    for (const TensorTransfer &t : transfers_)
-        if (t.earliest > 0)
-            sources.insert(t.src);
+    for (const ScheduledVector &sv : sched_->vectors)
+        if (flowEarliest(*sched_, sv.flow) > 0)
+            sources.insert(sv.hops.front().from);
     for (TspId s : sources)
         out.push_back({LeverKind::FuThroughput, s, factor});
 
@@ -413,21 +365,16 @@ rankedLevers(const WhatIfEngine &engine, double factor)
     return out;
 }
 
-bool
-staticCompletionCycles(const NetworkSchedule &sched, const Topology &topo,
-                       Cycle *out, std::string *error)
+Cycle
+staticCompletionCycles(const ProgramSet &programs)
 {
-    ProgramSet programs;
-    if (!tryBuildPrograms(sched, topo, {}, {}, programs, error))
-        return false;
     Cycle last = 0;
     for (const Program &prog : programs.byChip)
         for (const Instr &i : prog.instrs)
             if (i.op == Op::Recv && i.issueAt != kCycleUnscheduled &&
                 i.issueAt > last)
                 last = i.issueAt;
-    *out = last;
-    return true;
+    return last;
 }
 
 void
@@ -436,21 +383,20 @@ WhatIfCollector::onCompiled(const RunIdentity &run,
 {
     Observer::onCompiled(run, compiled);
     if (compiled)
-        setSchedule(compiled->schedule, compiled->topo,
-                    compiled->lowered.transfers);
+        setSchedule(*compiled);
 }
 
 void
-WhatIfCollector::setSchedule(const NetworkSchedule &sched,
-                             const Topology &topo,
-                             const std::vector<TensorTransfer> &transfers)
+WhatIfCollector::setSchedule(const CompiledScenario &compiled)
 {
+    const NetworkSchedule &sched = compiled.schedule;
+    const Topology &topo = compiled.topo;
     hasSchedule_ = true;
     makespan_ = sched.makespan;
     vectors_ = sched.vectors.size();
     flows_ = sched.flows.size();
 
-    const SsnAnalysis analysis = analyzeSchedule(sched, topo, transfers);
+    const SsnAnalysis analysis = analyzeSchedule(sched, topo);
     predictedCompletion_ = analysis.predictedCompletionCycles;
     hops_ = analysis.hopsTotal;
     contendedHops_ = analysis.contendedHops;
@@ -463,9 +409,9 @@ WhatIfCollector::setSchedule(const NetworkSchedule &sched,
         critFlows.insert(h.flow);
     }
     std::set<TspId> critSources;
-    for (const TensorTransfer &t : transfers)
-        if (critFlows.count(t.flow))
-            critSources.insert(t.src);
+    for (const ScheduledVector &sv : sched.vectors)
+        if (critFlows.count(sv.flow))
+            critSources.insert(sv.hops.front().from);
 
     std::set<LinkId> used;
     for (const ScheduledVector &sv : sched.vectors)
@@ -473,11 +419,11 @@ WhatIfCollector::setSchedule(const NetworkSchedule &sched,
             used.insert(h.link);
     linksUsed_ = used.size();
 
-    lowered_ = staticCompletionCycles(sched, topo, &staticCompletion_);
+    staticCompletion_ = staticCompletionCycles(compiled.programs);
 
-    const WhatIfEngine engine(sched, topo, transfers);
+    const WhatIfEngine engine(sched, topo);
     levers_.clear();
-    for (const WhatIfProjection &pr : rankedLevers(engine, factor_)) {
+    for (const WhatIfProjection &pr : rankedLevers(engine, kLeverFactor)) {
         LeverRecord rec;
         rec.lever = pr.lever;
         rec.projectedMakespan = pr.projectedMakespan;
@@ -514,7 +460,7 @@ WhatIfCollector::report() const
     doc.set("schema", kWhatIfSchema);
     doc.set("bench", identity().bench);
     doc.set("seed", std::int64_t(identity().seed));
-    doc.set("lever_factor", factor_);
+    doc.set("lever_factor", kLeverFactor);
 
     const Tick lastTick = sink_.last();
     const bool observed = lastTick > 0;
@@ -526,7 +472,7 @@ WhatIfCollector::report() const
     base.set("makespan_cycles", std::int64_t(makespan_));
     base.set("predicted_completion_cycles",
              std::int64_t(predictedCompletion_));
-    if (lowered_)
+    if (hasSchedule_)
         base.set("static_completion_cycles",
                  std::int64_t(staticCompletion_));
     else
@@ -550,7 +496,8 @@ WhatIfCollector::report() const
     // make it exactly zero.
     std::vector<LeverRecord> ranked = levers_;
     for (LeverRecord &rec : ranked)
-        if (rec.lever.kind == LeverKind::HacDrift && lowered_ && observed)
+        if (rec.lever.kind == LeverKind::HacDrift && hasSchedule_ &&
+            observed)
             rec.deltaCycles = std::int64_t(observedCompletion) -
                               std::int64_t(staticCompletion_);
     std::sort(ranked.begin(), ranked.end(),
@@ -566,7 +513,7 @@ WhatIfCollector::report() const
     Json levers = Json::array();
     std::size_t shown = 0;
     for (const LeverRecord &rec : ranked) {
-        if (shown >= maxLevers_)
+        if (shown >= kMaxLevers)
             break;
         ++shown;
         Json l = Json::object();

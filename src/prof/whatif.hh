@@ -52,12 +52,11 @@
 #define TSM_PROF_WHATIF_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
-#include "ssn/scheduler.hh"
+#include "prof/ssn_analysis.hh"
 #include "trace/trace.hh"
 
 namespace tsm {
@@ -130,28 +129,28 @@ struct LinkTimingOverride
 };
 
 /**
- * A materialized counterfactual: the perturbed schedule, the
- * perturbed transfer set, and the per-link wire timing a Network
- * must be given so the schedule is physically honest.
+ * A materialized counterfactual: the perturbed schedule (its flow
+ * summaries carry the perturbed injection cycles) and the per-link
+ * wire timing a Network must be given so the schedule is physically
+ * honest.
  */
 struct WhatIfCounterfactual
 {
     NetworkSchedule schedule;
-    std::vector<TensorTransfer> transfers;
     std::vector<LinkTimingOverride> linkTiming;
     WhatIfProjection projection;
 };
 
 /**
- * The recomputation core. Holds references to the schedule, topology
- * and transfers — all must outlive the engine (the collector instead
- * computes eagerly and keeps nothing).
+ * The recomputation core: a forward pass over the schedule's
+ * ScheduleGraph. Holds references to the schedule and topology — both
+ * must outlive the engine (the collector instead computes eagerly and
+ * keeps nothing).
  */
 class WhatIfEngine
 {
   public:
-    WhatIfEngine(const NetworkSchedule &sched, const Topology &topo,
-                 const std::vector<TensorTransfer> &transfers = {});
+    WhatIfEngine(const NetworkSchedule &sched, const Topology &topo);
 
     Cycle baseMakespan() const { return sched_->makespan; }
 
@@ -180,19 +179,6 @@ class WhatIfEngine
     bool identityExact(std::string *why = nullptr) const;
 
   private:
-    struct HopNode
-    {
-        LinkId link = kLinkInvalid;
-        TspId from = kTspInvalid;
-        Cycle depart = 0;
-        Cycle arrive = 0;
-        std::uint32_t vec = 0;
-        std::uint32_t hop = 0;
-        std::int32_t prevInVec = -1; ///< previous hop of this vector
-        std::int32_t prevDir = -1;   ///< previous window on (link, dir)
-        std::int32_t prevIssue = -1; ///< previous send by this chip
-    };
-
     struct Recompute
     {
         std::vector<Cycle> depart;
@@ -205,10 +191,7 @@ class WhatIfEngine
 
     const NetworkSchedule *sched_;
     const Topology *topo_;
-    std::vector<TensorTransfer> transfers_;
-    std::map<FlowId, Cycle> flowEarliest_;
-    std::vector<HopNode> nodes_;       ///< flattened hops
-    std::vector<std::int32_t> order_;  ///< indices by (depart, vec, hop)
+    ScheduleGraph graph_;
     std::vector<LinkId> usedLinks_;    ///< ascending, deduplicated
     std::vector<FlowId> flowOrder_;    ///< ascending flow ids
 };
@@ -240,15 +223,11 @@ class WhatIfCollector : public Observer
 
     TraceSink *traceSink() override { return &sink_; }
 
-    /** Lever speedup factor for the standard catalog (default 2). */
-    void setLeverFactor(double factor) { factor_ = factor; }
-
-    /** Cap on serialized levers (default 64; all are still ranked). */
-    void setMaxLevers(unsigned n) { maxLevers_ = n; }
-
-    /** Run the engine over this run's schedule. Call before finish. */
-    void setSchedule(const NetworkSchedule &sched, const Topology &topo,
-                     const std::vector<TensorTransfer> &transfers = {});
+    /**
+     * Run the engine over a compiled run's schedule, at the standard
+     * catalog's speedup factor 2. Call before finish.
+     */
+    void setSchedule(const CompiledScenario &compiled);
 
     /** Build the document. Call after the run (or without one). */
     Json report() const;
@@ -292,14 +271,11 @@ class WhatIfCollector : public Observer
     };
 
     CompletionSink sink_;
-    double factor_ = 2.0;
-    unsigned maxLevers_ = 64;
 
     bool hasSchedule_ = false;
     Cycle makespan_ = 0;
     Cycle predictedCompletion_ = 0;
     Cycle staticCompletion_ = 0;
-    bool lowered_ = false;
     std::uint64_t hops_ = 0;
     std::uint64_t vectors_ = 0;
     std::uint64_t flows_ = 0;
@@ -310,17 +286,13 @@ class WhatIfCollector : public Observer
 };
 
 /**
- * The static completion cycle of a schedule: the issue cycle of the
- * last scheduled Recv after lowering to per-chip programs. This is
- * what a drift-free simulation reproduces tick-for-tick, including
- * receives the lowerer slid past colliding instructions — the
- * schedule-level makespan plus the receive margin plus any slide.
- * Returns false (capacity, slide overflow) with a diagnosis in
- * `*error` when the schedule cannot be lowered.
+ * The static completion cycle of lowered programs: the issue cycle of
+ * the last scheduled Recv. This is what a drift-free simulation
+ * reproduces tick-for-tick, including receives the lowerer slid past
+ * colliding instructions — the schedule-level makespan plus the
+ * receive margin plus any slide.
  */
-bool staticCompletionCycles(const NetworkSchedule &sched,
-                            const Topology &topo, Cycle *out,
-                            std::string *error = nullptr);
+Cycle staticCompletionCycles(const ProgramSet &programs);
 
 /**
  * Render a `tsm-whatif-v1` document: run header, base line, and the

@@ -19,12 +19,7 @@ runCounterfactual(const Topology &topo, const WhatIfCounterfactual &cf,
                           error))
         return false;
 
-    Cycle promised = 0;
-    for (const Program &prog : compiled.programs.byChip)
-        for (const Instr &i : prog.instrs)
-            if (i.op == Op::Recv && i.issueAt != kCycleUnscheduled &&
-                i.issueAt > promised)
-                promised = i.issueAt;
+    const Cycle promised = staticCompletionCycles(compiled.programs);
 
     ProfilerSink prof;
     Machine machine(compiled, seed);

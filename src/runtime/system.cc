@@ -15,36 +15,7 @@ TsmSystem::TsmSystem(const SystemConfig &config, Topology topo)
     net_ = std::make_unique<Network>(topo_, eq_, rng_.fork(1),
                                      config_.jitter);
     net_->setErrorModel(config_.errors);
-    if (config_.captureDigest) {
-        digest_ = std::make_unique<DigestSink>();
-        eq_.tracer().addSink(digest_.get());
-    }
-    if (!config_.journalPath.empty()) {
-        journal_ = std::make_unique<JournalSink>(config_.journalPath);
-        eq_.tracer().addSink(journal_.get());
-    }
     buildChips();
-}
-
-std::uint64_t
-TsmSystem::timelineDigest() const
-{
-    return digest_ ? digest_->digest() : 0;
-}
-
-std::uint64_t
-TsmSystem::digestEvents() const
-{
-    return digest_ ? digest_->events() : 0;
-}
-
-std::uint64_t
-TsmSystem::finishJournal()
-{
-    if (!journal_)
-        return 0;
-    journal_->finish();
-    return journal_->eventsWritten();
 }
 
 void

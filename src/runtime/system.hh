@@ -16,8 +16,6 @@
 #include "net/network.hh"
 #include "sync/program_alignment.hh"
 #include "sync/sync_tree.hh"
-#include "trace/digest.hh"
-#include "trace/journal.hh"
 
 namespace tsm {
 
@@ -35,22 +33,6 @@ struct SystemConfig
 
     /** Global FEC error model. */
     ErrorModel errors;
-
-    /**
-     * Attach a DigestSink for the system's whole lifetime, folding
-     * every traced event (all categories, including per-dispatch Sim
-     * events) into a 64-bit fingerprint readable via timelineDigest().
-     * Two runs are bit-identical iff their digests match.
-     */
-    bool captureDigest = false;
-
-    /**
-     * Record the canonical tsm-journal-v1 event journal to this path
-     * for the system's whole lifetime (all categories). Two journals
-     * from equal-seed runs must be byte-identical; when they are not,
-     * tools/tsm_diverge locates the first diverging event.
-     */
-    std::string journalPath;
 
     std::uint64_t seed = 1;
 };
@@ -73,18 +55,6 @@ class TsmSystem
 
     /** The simulation's tracer (attach/remove sinks here). */
     Tracer &tracer() { return eq_.tracer(); }
-
-    /**
-     * The golden timeline digest accumulated so far. Requires
-     * SystemConfig::captureDigest; 0 otherwise.
-     */
-    std::uint64_t timelineDigest() const;
-
-    /** Traced events folded into the digest so far (0 if off). */
-    std::uint64_t digestEvents() const;
-
-    /** Flush the journal (if configured) and return events written. */
-    std::uint64_t finishJournal();
 
     /**
      * Run the HAC spanning-tree alignment for `duration` and stop it.
@@ -122,8 +92,6 @@ class TsmSystem
     std::unique_ptr<Network> net_;
     std::vector<std::unique_ptr<TspChip>> chips_;
     std::vector<bool> launched_;
-    std::unique_ptr<DigestSink> digest_;
-    std::unique_ptr<JournalSink> journal_;
 };
 
 } // namespace tsm

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "collective/allreduce.hh"
@@ -664,20 +663,6 @@ checkScenario(const Scenario &scenario, Topology &topo,
     }
 
     lowered = lowerScenario(scenario, topo);
-    std::map<FlowId, std::size_t> seen;
-    for (std::size_t i = 0; i < lowered.transfers.size(); ++i) {
-        const FlowId id = lowered.transfers[i].flow;
-        auto [it, fresh] = seen.emplace(id, i);
-        if (!fresh) {
-            std::ostringstream ws;
-            ws << "flow id " << id << " is used twice (transfers "
-               << it->second << " and " << i
-               << " after lowering) — explicit flows, collectives and "
-                  "patterns must use disjoint id ranges";
-            return fail(error, ws.str());
-        }
-    }
-
     return true;
 }
 
@@ -705,13 +690,24 @@ compileTransfers(Topology topo, std::vector<TensorTransfer> transfers,
     CompiledScenario out;
     out.topo = std::move(topo);
     const unsigned n = out.topo.numTsps();
-    for (const TensorTransfer &t : transfers) {
+    std::unordered_map<FlowId, std::size_t> seen;
+    for (std::size_t i = 0; i < transfers.size(); ++i) {
+        const TensorTransfer &t = transfers[i];
         if (t.src >= n || t.dst >= n || t.src == t.dst) {
             fail(error, "flow " + std::to_string(t.flow) + " from chip " +
                             std::to_string(t.src) + " to chip " +
                             std::to_string(t.dst) +
                             " does not cross a link of the " +
                             std::to_string(n) + "-TSP topology");
+            return std::nullopt;
+        }
+        if (auto [it, fresh] = seen.try_emplace(t.flow, i); !fresh) {
+            fail(error, "flow id " + std::to_string(t.flow) +
+                            " is used twice (transfers " +
+                            std::to_string(it->second) + " and " +
+                            std::to_string(i) +
+                            ") — explicit flows, collectives and "
+                            "patterns must use disjoint id ranges");
             return std::nullopt;
         }
     }

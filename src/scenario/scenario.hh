@@ -218,8 +218,9 @@ std::optional<CompiledScenario> compileScenario(const Scenario &scenario,
  * Compile a hand-built transfer list on `topo` under `ssn`; every
  * transfer is foreground. Destination chips deposit flow f at
  * `dstBase[f]` when given. Fails with a diagnosis on an endpoint
- * outside the topology, a transfer to self, a schedule that fails
- * checkSchedule, or traffic the chips cannot buffer.
+ * outside the topology, a transfer to self, a flow id used twice, a
+ * schedule that fails checkSchedule, or traffic the chips cannot
+ * buffer.
  */
 std::optional<CompiledScenario> compileTransfers(
     Topology topo, std::vector<TensorTransfer> transfers,

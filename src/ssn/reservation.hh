@@ -17,11 +17,9 @@
 #define TSM_SSN_RESERVATION_HH
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/units.hh"
-#include "net/flit.hh"
 #include "net/topology.hh"
 
 namespace tsm {
@@ -57,13 +55,10 @@ class ReservationLedger
     Cycle earliestFree(LinkId link, bool from_a, Cycle earliest) const;
 
     /**
-     * Reserve [start, start+window) on the direction for `owner`.
-     * Panics on overlap — the scheduler must have consulted
-     * earliestFree. The owner flow is what contention attribution
-     * reports when a later vector is pushed past this window.
+     * Reserve [start, start+window) on the direction. Panics on
+     * overlap — the scheduler must have consulted earliestFree.
      */
-    void reserve(LinkId link, bool from_a, Cycle start,
-                 FlowId owner = kFlowInvalid);
+    void reserve(LinkId link, bool from_a, Cycle start);
 
     /** True if [start, start+window) is free on the direction. */
     bool free(LinkId link, bool from_a, Cycle start) const;
@@ -86,23 +81,6 @@ class ReservationLedger
 
     Cycle window() const { return window_; }
 
-    /** One reserved serialization window and the flow holding it. */
-    struct Occupant
-    {
-        Cycle start;
-        FlowId owner;
-    };
-
-    /**
-     * Reserved windows on (link, from_a) overlapping [from, to), in
-     * start order. This is the static-blame query: every cycle a
-     * vector was pushed past `from` is covered by these occupants
-     * (plus scheduler-issue slots). The span views the ledger and is
-     * valid until the next reserve().
-     */
-    std::span<const Occupant> occupantsInRange(LinkId link, bool from_a,
-                                               Cycle from, Cycle to) const;
-
   private:
     std::size_t
     index(LinkId link, bool from_a) const
@@ -111,17 +89,10 @@ class ReservationLedger
     }
 
     /**
-     * First occupant of `dir` whose window ends after `c`, i.e. the
-     * first that could overlap a window starting at or after `c`.
-     */
-    std::vector<Occupant>::const_iterator
-    firstEndingAfter(const std::vector<Occupant> &dir, Cycle c) const;
-
-    /**
-     * Occupants per direction, sorted by start. Windows on one
+     * Window start cycles per direction, sorted. Windows on one
      * direction are disjoint, so start order is also end order.
      */
-    std::vector<std::vector<Occupant>> dirs_;
+    std::vector<std::vector<Cycle>> dirs_;
     Cycle window_;
     std::uint64_t total_ = 0;
     Cycle horizon_ = 0;

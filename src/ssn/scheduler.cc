@@ -74,7 +74,7 @@ class ScheduleBuilder
     {}
 
     void
-    add(const TensorTransfer &t, NetworkSchedule &out)
+    add(const TensorTransfer &t, FlowSummary &summary, NetworkSchedule &out)
     {
         TSM_ASSERT(t.src != t.dst, "transfer to self");
         TSM_ASSERT(t.vectors > 0, "empty transfer");
@@ -88,11 +88,10 @@ class ScheduleBuilder
         if (!config_.loadBalance)
             choices.resize(1);
 
-        FlowSummary &summary = out.flows[t.flow];
         summary.flow = t.flow;
         summary.vectors = t.vectors;
         summary.firstDeparture = ~Cycle(0);
-        summary.pathsUsed = 0;
+        summary.earliest = t.earliest;
 
         std::vector<Cycle> next_inject(choices.size(), t.earliest);
         std::vector<bool> path_used(choices.size(), false);
@@ -116,12 +115,9 @@ class ScheduleBuilder
             }
             TSM_ASSERT(best_arrival != ~Cycle(0), "no feasible path");
 
-            attributeDelay(t.flow, best_, next_inject[best_path], out);
-
             for (const auto &hop : best_) {
                 const Link &link = topo_.links()[hop.link];
-                ledger_.reserve(hop.link, link.a == hop.from, hop.depart,
-                                t.flow);
+                ledger_.reserve(hop.link, link.a == hop.from, hop.depart);
                 slots_.reserve(hop.from, hop.depart);
             }
             next_inject[best_path] = best_.front().depart + ledger_.window();
@@ -144,48 +140,6 @@ class ScheduleBuilder
     }
 
   private:
-    /**
-     * Charge every cycle the vector riding `hops` was pushed past its
-     * per-hop ready times to the flows whose reserved windows stood
-     * in the way. Must run before its own windows are reserved. Occupant
-     * windows on a direction are disjoint, so their clipped overlaps
-     * with [ready, depart) partition the link-induced share exactly;
-     * the uncovered remainder is the per-chip issue-slot limit.
-     */
-    void
-    attributeDelay(FlowId flow, const std::vector<ScheduledHop> &hops,
-                   Cycle ready0, NetworkSchedule &out)
-    {
-        ScheduleBlame &blame = out.blame;
-        Cycle ready = ready0;
-        for (std::size_t h = 0; h < hops.size(); ++h) {
-            const ScheduledHop &hop = hops[h];
-            if (h > 0)
-                ready = hops[h - 1].arrive + forwardCycles();
-            if (hop.depart > ready) {
-                const Cycle delay = hop.depart - ready;
-                const Link &link = topo_.links()[hop.link];
-                Cycle covered = 0;
-                for (const auto &occ : ledger_.occupantsInRange(
-                         hop.link, link.a == hop.from, ready,
-                         hop.depart)) {
-                    const Cycle lo = std::max(ready, occ.start);
-                    const Cycle hi = std::min(
-                        hop.depart, occ.start + ledger_.window());
-                    if (hi <= lo)
-                        continue;
-                    const Cycle share = hi - lo;
-                    covered += share;
-                    blame.flowPairCycles[flow][occ.owner] += share;
-                    blame.linkFlowCycles[hop.link][occ.owner] += share;
-                }
-                blame.issueDelayCycles += delay - covered;
-                blame.flowDelayCycles[flow] += delay;
-                blame.totalDelayCycles += delay;
-            }
-        }
-    }
-
     /**
      * Chain one vector down `path`, starting no earlier than `ready0`,
      * into `hops`; returns its arrival cycle.
@@ -246,7 +200,9 @@ SsnScheduler::schedule(const std::vector<TensorTransfer> &transfers)
     for (const auto &t : transfers) {
         TSM_ASSERT(t.flow != kFlowInvalid && t.flow != 0,
                    "transfers need flow ids >= 1");
-        builder.add(t, out);
+        const auto [summary, fresh] = out.flows.try_emplace(t.flow);
+        TSM_ASSERT(fresh, "flow id {} is used twice", t.flow);
+        builder.add(t, summary->second, out);
     }
     return out;
 }
@@ -394,8 +350,11 @@ tryBuildPrograms(const NetworkSchedule &sched, const Topology &topo,
     };
 
     // Gather every chip's instruction events in one list, then order
-    // each chip's by issue cycle. Nearly every hop yields one receive
-    // and one send.
+    // each chip's by issue cycle. A vector of k hops yields at most 4k
+    // events: a spilled forward is a Recv, a Write, a Read and a Send,
+    // and the two ends add at most a source Read and Send and a
+    // destination Recv and Write. Reserving that bound means a few
+    // spills never copy the whole list.
     struct Event
     {
         Cycle cycle;
@@ -408,7 +367,7 @@ tryBuildPrograms(const NetworkSchedule &sched, const Topology &topo,
         std::size_t hops = 0;
         for (const auto &sv : sched.vectors)
             hops += sv.hops.size();
-        events.reserve(2 * hops);
+        events.reserve(4 * hops);
     }
 
     // Per-chip stream registers: freeAt[s] = first cycle the register

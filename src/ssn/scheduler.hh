@@ -17,7 +17,6 @@
 #define TSM_SSN_SCHEDULER_HH
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -76,32 +75,9 @@ struct FlowSummary
     Cycle lastArrival = 0;
     std::uint32_t vectors = 0;
     unsigned pathsUsed = 0;
-};
 
-/**
- * Static (compile-time) contention attribution. Every cycle a vector
- * was pushed past its ready time during scheduling is charged either
- * to the flow whose reserved serialization window occupied the link
- * direction, or to the per-chip instruction-issue limit ("issue").
- * Keys are std::maps so iteration — and thus any serialized form —
- * is deterministic.
- */
-struct ScheduleBlame
-{
-    /** blocked flow -> blocking flow -> cycles of induced delay. */
-    std::map<FlowId, std::map<FlowId, Cycle>> flowPairCycles;
-
-    /** link -> blocking flow -> cycles of delay it induced there. */
-    std::map<LinkId, std::map<FlowId, Cycle>> linkFlowCycles;
-
-    /** blocked flow -> total delay cycles (link + issue). */
-    std::map<FlowId, Cycle> flowDelayCycles;
-
-    /** All delay cycles across all vectors and hops. */
-    Cycle totalDelayCycles = 0;
-
-    /** Share of the delay due to the one-send-per-chip issue limit. */
-    Cycle issueDelayCycles = 0;
+    /** The transfer's earliest injection cycle. */
+    Cycle earliest = 0;
 };
 
 /** The complete communication schedule. */
@@ -115,9 +91,6 @@ struct NetworkSchedule
 
     /** Completion time of one flow. */
     Cycle flowCompletion(FlowId f) const;
-
-    /** Who delayed whom, resolved while the schedule was built. */
-    ScheduleBlame blame;
 };
 
 /** Result of validating a schedule against the SSN invariants. */
@@ -136,7 +109,8 @@ class SsnScheduler
     /**
      * Schedule all transfers. Deterministic: identical inputs yield an
      * identical schedule. Transfers are processed in the given order
-     * (the compiler orders them by data dependence).
+     * (the compiler orders them by data dependence). Each transfer
+     * needs its own flow id.
      */
     NetworkSchedule schedule(const std::vector<TensorTransfer> &transfers);
 

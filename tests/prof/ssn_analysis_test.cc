@@ -47,7 +47,7 @@ TEST(SsnAnalysis, SingleVectorSingleHop)
     SsnScheduler scheduler(topo);
     const auto transfers = std::vector{makeTransfer(1, 0, 1, 1)};
     const auto sched = scheduler.schedule(transfers);
-    const SsnAnalysis a = analyzeSchedule(sched, topo, transfers);
+    const SsnAnalysis a = analyzeSchedule(sched, topo);
 
     EXPECT_EQ(a.makespan, sched.makespan);
     EXPECT_EQ(a.criticalPathCycles, a.makespan);
@@ -73,7 +73,7 @@ TEST(SsnAnalysis, EarliestInjectionSetsStartCycle)
     SsnScheduler scheduler(topo);
     const auto transfers = std::vector{makeTransfer(1, 2, 5, 1, 100)};
     const auto sched = scheduler.schedule(transfers);
-    const SsnAnalysis a = analyzeSchedule(sched, topo, transfers);
+    const SsnAnalysis a = analyzeSchedule(sched, topo);
 
     EXPECT_TRUE(a.contentionFree);
     EXPECT_EQ(a.startCycle, 100u);
@@ -91,7 +91,7 @@ TEST(SsnAnalysis, ContendedFanInStaysExact)
     for (unsigned f = 0; f < 4; ++f)
         transfers.push_back(makeTransfer(f + 1, TspId(f + 1), 0, 32));
     const auto sched = scheduler.schedule(transfers);
-    const SsnAnalysis a = analyzeSchedule(sched, topo, transfers);
+    const SsnAnalysis a = analyzeSchedule(sched, topo);
 
     EXPECT_EQ(a.criticalPathCycles, a.makespan);
     EXPECT_FALSE(a.contentionFree);
@@ -131,7 +131,7 @@ TEST(SsnAnalysis, PredictionMatchesSimulationOnContentionFreeRun)
     ProfileCollector prof;
     prof.setBench("ssn_analysis_test");
     prof.setSeed(1);
-    prof.setSchedule(sched, topo, transfers);
+    prof.setSchedule(sched, topo);
     ASSERT_TRUE(prof.analysis().has_value());
     EXPECT_TRUE(prof.analysis()->contentionFree);
 
@@ -166,7 +166,7 @@ TEST(SsnAnalysis, CriticalPathHopsHaveZeroBindingSlack)
     transfers.push_back(makeTransfer(2, 2, 0, 16));
     transfers.push_back(makeTransfer(3, 3, 0, 8, 50));
     const auto sched = scheduler.schedule(transfers);
-    const SsnAnalysis a = analyzeSchedule(sched, topo, transfers);
+    const SsnAnalysis a = analyzeSchedule(sched, topo);
 
     ASSERT_FALSE(a.criticalPath.empty());
     EXPECT_GT(a.contendedHops, 0u);
@@ -186,7 +186,7 @@ TEST(SsnAnalysis, CriticalPathHopsHaveZeroBindingSlack)
     // Zero residual slack anywhere: the constraint graph alone
     // explains every departure cycle, so no critical-path hop (and
     // no other hop) idles past its binding constraint.
-    const WhatIfEngine engine(sched, topo, transfers);
+    const WhatIfEngine engine(sched, topo);
     std::string why;
     EXPECT_TRUE(engine.identityExact(&why)) << why;
 }

@@ -55,7 +55,7 @@ TEST(WhatIfEngine, IdentityExactOnContendedSchedule)
     SsnScheduler scheduler(topo);
     const auto transfers = contendedTransfers();
     const auto sched = scheduler.schedule(transfers);
-    const WhatIfEngine engine(sched, topo, transfers);
+    const WhatIfEngine engine(sched, topo);
 
     std::string why;
     EXPECT_TRUE(engine.identityExact(&why)) << why;
@@ -75,7 +75,7 @@ TEST(WhatIfEngine, IdentityExactWithNonMinimalRouting)
         std::vector{makeTransfer(1, 0, 7, 64), makeTransfer(2, 7, 0, 64),
                     makeTransfer(3, 3, 4, 48)};
     const auto sched = scheduler.schedule(transfers);
-    const WhatIfEngine engine(sched, topo, transfers);
+    const WhatIfEngine engine(sched, topo);
 
     std::string why;
     EXPECT_TRUE(engine.identityExact(&why)) << why;
@@ -87,7 +87,7 @@ TEST(WhatIfEngine, ZeroMagnitudePerturbationProjectsZeroDelta)
     SsnScheduler scheduler(topo);
     const auto transfers = contendedTransfers();
     const auto sched = scheduler.schedule(transfers);
-    const WhatIfEngine engine(sched, topo, transfers);
+    const WhatIfEngine engine(sched, topo);
 
     for (const Perturbation &p : engine.enumerateLevers(1.0)) {
         if (p.kind == LeverKind::FlowRemoval)
@@ -117,8 +117,7 @@ TEST(WhatIfEngine, ZeroMagnitudeIsNoOpOnEveryCheckedInScenario)
             << path << ": " << error;
         const auto compiled = compileScenario(scenario, &error);
         ASSERT_TRUE(compiled) << path << ": " << error;
-        const WhatIfEngine engine(compiled->schedule, compiled->topo,
-                                  compiled->lowered.transfers);
+        const WhatIfEngine engine(compiled->schedule, compiled->topo);
 
         std::string why;
         EXPECT_TRUE(engine.identityExact(&why)) << name << ": " << why;
@@ -139,7 +138,7 @@ TEST(WhatIfEngine, SpeedupLeversNeverProjectSlowdown)
     SsnScheduler scheduler(topo);
     const auto transfers = contendedTransfers();
     const auto sched = scheduler.schedule(transfers);
-    const WhatIfEngine engine(sched, topo, transfers);
+    const WhatIfEngine engine(sched, topo);
 
     for (const WhatIfProjection &proj : rankedLevers(engine, 2.0)) {
         if (proj.lever.kind == LeverKind::HacDrift)
@@ -156,7 +155,7 @@ TEST(WhatIfEngine, FlowRemovalSemantics)
     SsnScheduler scheduler(topo);
     const auto transfers = contendedTransfers();
     const auto sched = scheduler.schedule(transfers);
-    const WhatIfEngine engine(sched, topo, transfers);
+    const WhatIfEngine engine(sched, topo);
 
     Perturbation p;
     p.kind = LeverKind::FlowRemoval;
@@ -168,10 +167,27 @@ TEST(WhatIfEngine, FlowRemovalSemantics)
 
     const WhatIfCounterfactual cf = engine.rebuild(p);
     EXPECT_EQ(cf.schedule.makespan, proj.projectedMakespan);
-    EXPECT_EQ(cf.transfers.size(), transfers.size() - 1);
+    EXPECT_EQ(cf.schedule.flows.size(), transfers.size() - 1);
     for (const ScheduledVector &sv : cf.schedule.vectors)
         EXPECT_NE(sv.flow, FlowId(1));
     EXPECT_EQ(cf.schedule.flows.count(FlowId(1)), 0u);
+}
+
+TEST(WhatIfEngine, ComputeLeverRebuildCarriesPerturbedInjection)
+{
+    // The rebuilt schedule's flow summaries carry the injection cycles
+    // the perturbed machine would have: flows 1 and 4 are sourced at
+    // chip 1, flow 2 at chip 2.
+    const Topology topo = Topology::makeNode();
+    SsnScheduler scheduler(topo);
+    const auto sched = scheduler.schedule(contendedTransfers());
+    const WhatIfEngine engine(sched, topo);
+
+    const WhatIfCounterfactual cf =
+        engine.rebuild({LeverKind::FuThroughput, 1, 2.0});
+    EXPECT_EQ(cf.schedule.flows.at(4).earliest, 200u);
+    EXPECT_EQ(cf.schedule.flows.at(1).earliest, 0u);
+    EXPECT_EQ(cf.schedule.flows.at(2).earliest, 100u);
 }
 
 TEST(WhatIfEngine, ProjectionMatchesResimulation)
@@ -183,7 +199,7 @@ TEST(WhatIfEngine, ProjectionMatchesResimulation)
     SsnScheduler scheduler(topo);
     const auto transfers = contendedTransfers();
     const auto sched = scheduler.schedule(transfers);
-    const WhatIfEngine engine(sched, topo, transfers);
+    const WhatIfEngine engine(sched, topo);
 
     Perturbation identity;
     identity.kind = LeverKind::HacDrift;
@@ -209,16 +225,16 @@ TEST(WhatIfEngine, ProjectionMatchesResimulation)
 
 TEST(WhatIfCollector, DocumentIsDeterministicAndSound)
 {
-    const Topology topo = Topology::makeNode();
-    SsnScheduler scheduler(topo);
-    const auto transfers = contendedTransfers();
-    const auto sched = scheduler.schedule(transfers);
+    const auto compiled =
+        compileTransfers(Topology::makeNode(), contendedTransfers());
+    ASSERT_TRUE(compiled.has_value());
+    const NetworkSchedule &sched = compiled->schedule;
 
     auto build = [&] {
         WhatIfCollector collector;
         collector.setBench("whatif_test");
         collector.setSeed(7);
-        collector.setSchedule(sched, topo, transfers);
+        collector.setSchedule(*compiled);
         return collector.report();
     };
     const Json a = build();
@@ -260,13 +276,12 @@ TEST(WhatIfCollector, ObservedCompletionCountsCorruptReceives)
 
 TEST(WhatIfCollector, InvariantCheckerCatchesCorruption)
 {
-    const Topology topo = Topology::makeNode();
-    SsnScheduler scheduler(topo);
-    const auto transfers = contendedTransfers();
-    const auto sched = scheduler.schedule(transfers);
+    const auto compiled =
+        compileTransfers(Topology::makeNode(), contendedTransfers());
+    ASSERT_TRUE(compiled.has_value());
 
     WhatIfCollector collector;
-    collector.setSchedule(sched, topo, transfers);
+    collector.setSchedule(*compiled);
     Json doc = collector.report();
     ASSERT_TRUE(checkWhatIfInvariants(doc));
 

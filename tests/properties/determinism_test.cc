@@ -13,6 +13,7 @@
 #include "collective/allreduce.hh"
 #include "runtime/system.hh"
 #include "ssn/scheduler.hh"
+#include "trace/digest.hh"
 
 namespace tsm {
 namespace {
@@ -26,12 +27,13 @@ bringupDigest(std::uint64_t seed)
     cfg.driftPpmSigma = 20.0;
     cfg.jitter = true;
     cfg.errors = {.sbePerVector = 0.01, .mbePerVector = 0.001};
-    cfg.captureDigest = true;
     cfg.seed = seed;
+    DigestSink digest;
     TsmSystem sys(cfg);
+    sys.tracer().addSink(&digest);
     sys.synchronize(2 * kPsPerMs);
-    EXPECT_GT(sys.digestEvents(), 0u);
-    return sys.timelineDigest();
+    EXPECT_GT(digest.events(), 0u);
+    return digest.digest();
 }
 
 /**
@@ -47,9 +49,10 @@ allReduceDigest(std::uint64_t seed)
     SystemConfig cfg;
     cfg.numTsps = 8;
     cfg.errors = {.mbePerVector = 0.02};
-    cfg.captureDigest = true;
     cfg.seed = seed;
+    DigestSink digest;
     TsmSystem sys(cfg);
+    sys.tracer().addSink(&digest);
 
     HierarchicalAllReduce ar(sys.topo());
     SsnScheduler scheduler(sys.topo());
@@ -68,8 +71,8 @@ allReduceDigest(std::uint64_t seed)
         sys.chip(t).setStream(0, makeVec(Vec(1.0f)));
     sys.launchRaw(std::move(programs.byChip), 0);
     EXPECT_TRUE(sys.runToCompletion());
-    EXPECT_GT(sys.digestEvents(), 0u);
-    return sys.timelineDigest();
+    EXPECT_GT(digest.events(), 0u);
+    return digest.digest();
 }
 
 TEST(Determinism, BringupSameSeedSameDigest)
@@ -94,16 +97,6 @@ TEST(Determinism, AllReduceDifferentSeedsDiverge)
     // With mbePerVector = 0.02 over ~1600 flit events, runs with
     // different seeds corrupt different vectors.
     EXPECT_NE(allReduceDigest(21), allReduceDigest(22));
-}
-
-TEST(Determinism, DigestOffByDefault)
-{
-    SystemConfig cfg;
-    cfg.numTsps = 8;
-    TsmSystem sys(cfg);
-    sys.synchronize(1 * kPsPerMs);
-    EXPECT_EQ(sys.timelineDigest(), 0u);
-    EXPECT_EQ(sys.digestEvents(), 0u);
 }
 
 } // namespace

@@ -395,6 +395,17 @@ TEST(ScenarioCompile, HandBuiltTransferToSelfIsDiagnosed)
         << error;
 }
 
+TEST(ScenarioCompile, HandBuiltRepeatedFlowIdIsDiagnosed)
+{
+    const TensorTransfer a{.flow = 4, .src = 0, .dst = 1, .vectors = 1};
+    const TensorTransfer b{.flow = 4, .src = 2, .dst = 3, .vectors = 1};
+    std::string error;
+    EXPECT_FALSE(compileTransfers(Topology::makeNode(), {a, b}, {}, &error));
+    EXPECT_NE(error.find("flow id 4 is used twice (transfers 0 and 1)"),
+              std::string::npos)
+        << error;
+}
+
 TEST(ScenarioCompile, ScheduleBreakingAnInvariantIsDiagnosed)
 {
     // No known input makes the scheduler emit a bad schedule, so the

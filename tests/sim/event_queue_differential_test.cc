@@ -25,6 +25,7 @@
 #include "reference_event_queue.hh"
 #include "runtime/system.hh"
 #include "sim/event_queue.hh"
+#include "trace/digest.hh"
 
 namespace tsm {
 namespace {
@@ -236,14 +237,15 @@ TEST(EventQueueDifferential, DriftingSynchronizeDigestIsPinned)
     cfg.numTsps = 16;
     cfg.driftPpmSigma = 50.0;
     cfg.jitter = true;
-    cfg.captureDigest = true;
     cfg.seed = 1;
+    DigestSink digest;
     TsmSystem sys(cfg);
+    sys.tracer().addSink(&digest);
     const int residual = sys.synchronize(100 * kPsPerUs);
 
     EXPECT_EQ(residual, 17);
-    EXPECT_EQ(sys.digestEvents(), 32149u);
-    EXPECT_EQ(sys.timelineDigest(), 0xcc88c45dc82c9f22ULL);
+    EXPECT_EQ(digest.events(), 32149u);
+    EXPECT_EQ(digest.digest(), 0xcc88c45dc82c9f22ULL);
 }
 
 } // namespace

@@ -2,10 +2,12 @@
  * @file
  * Differential tests of the SSN compile path against the test-only
  * reference (reference_scheduler.hh): path enumeration on every
- * (src, dst) pair of several topologies, and schedules, static blame,
- * programs and validation reports on every checked-in scenario plus
- * 2,000 generated ones. Outputs must be identical, not merely
- * equivalent.
+ * (src, dst) pair of several topologies, and schedules, programs and
+ * validation reports on every checked-in scenario plus 2,000 generated
+ * ones. Outputs must be identical, not merely equivalent. Static blame
+ * pits two algorithms against each other: scheduleBlame, recomputed
+ * from the library's finished schedule, must equal the blame the
+ * reference charged while it placed each vector.
  */
 
 #include <gtest/gtest.h>
@@ -72,13 +74,18 @@ scheduleMismatch(const NetworkSchedule &a, const NetworkSchedule &b)
         const FlowSummary &y = it->second;
         if (x.flow != y.flow || x.firstDeparture != y.firstDeparture ||
             x.lastArrival != y.lastArrival || x.vectors != y.vectors ||
-            x.pathsUsed != y.pathsUsed)
+            x.pathsUsed != y.pathsUsed || x.earliest != y.earliest)
             return "flow " + std::to_string(flow) + " summary differs";
     }
     if (a.makespan != b.makespan)
         return "makespan differs";
-    const ScheduleBlame &p = a.blame;
-    const ScheduleBlame &q = b.blame;
+    return "";
+}
+
+/** Empty when the two blame accounts are identical. */
+std::string
+blameMismatch(const ScheduleBlame &p, const ScheduleBlame &q)
+{
     if (p.flowPairCycles != q.flowPairCycles)
         return "blame flowPairCycles differs";
     if (p.linkFlowCycles != q.linkFlowCycles)
@@ -206,8 +213,9 @@ corrupt(const NetworkSchedule &s, const Topology &topo, Rng &rng)
 
 /**
  * Schedule `transfers` with both implementations and compare every
- * output: schedule, blame, validation report, programs, and the
- * validation reports of a few corrupted copies.
+ * output: schedule, blame (recomputed against charged), validation
+ * report, programs, and the validation reports of a few corrupted
+ * copies.
  */
 void
 expectIdentical(const std::string &name, const Topology &topo,
@@ -217,8 +225,13 @@ expectIdentical(const std::string &name, const Topology &topo,
 {
     SsnScheduler scheduler(topo, ssn);
     const NetworkSchedule got = scheduler.schedule(transfers);
-    const NetworkSchedule want = reference::schedule(topo, ssn, transfers);
+    ScheduleBlame charged;
+    const NetworkSchedule want =
+        reference::schedule(topo, ssn, transfers, &charged);
     std::string why = scheduleMismatch(got, want);
+    ASSERT_EQ(why, "") << name;
+
+    why = blameMismatch(scheduleBlame(got, topo), charged);
     ASSERT_EQ(why, "") << name;
 
     why = reportMismatch(validateSchedule(got, topo),

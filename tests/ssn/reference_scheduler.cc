@@ -297,7 +297,7 @@ class ScheduleBuilder
     {}
 
     void
-    add(const TensorTransfer &t, NetworkSchedule &out)
+    add(const TensorTransfer &t, NetworkSchedule &out, ScheduleBlame &blame)
     {
         TSM_ASSERT(t.src != t.dst, "transfer to self");
         TSM_ASSERT(t.vectors > 0, "empty transfer");
@@ -315,6 +315,7 @@ class ScheduleBuilder
         summary.flow = t.flow;
         summary.vectors = t.vectors;
         summary.firstDeparture = ~Cycle(0);
+        summary.earliest = t.earliest;
 
         std::vector<Cycle> next_inject(choices.size(), t.earliest);
         std::set<std::size_t> paths_used;
@@ -332,7 +333,7 @@ class ScheduleBuilder
             }
             TSM_ASSERT(best.arrival != ~Cycle(0), "no feasible path");
 
-            attributeDelay(t.flow, best, next_inject[best_path], out);
+            attributeDelay(t.flow, best, next_inject[best_path], blame);
 
             for (const auto &hop : best.hops) {
                 const Link &link = topo_.links()[hop.link];
@@ -375,9 +376,8 @@ class ScheduleBuilder
      */
     void
     attributeDelay(FlowId flow, const Candidate &cand, Cycle ready0,
-                   NetworkSchedule &out)
+                   ScheduleBlame &blame)
     {
-        ScheduleBlame &blame = out.blame;
         Cycle ready = ready0;
         for (std::size_t h = 0; h < cand.hops.size(); ++h) {
             const ScheduledHop &hop = cand.hops[h];
@@ -451,16 +451,19 @@ class ScheduleBuilder
 
 NetworkSchedule
 schedule(const Topology &topo, const SsnConfig &config,
-         const std::vector<TensorTransfer> &transfers)
+         const std::vector<TensorTransfer> &transfers, ScheduleBlame *blame)
 {
     TSM_ASSERT(config.maxPaths >= 1, "need at least one path");
     NetworkSchedule out;
+    ScheduleBlame charged;
     ScheduleBuilder builder(topo, config);
     for (const auto &t : transfers) {
         TSM_ASSERT(t.flow != kFlowInvalid && t.flow != 0,
                    "transfers need flow ids >= 1");
-        builder.add(t, out);
+        builder.add(t, out, charged);
     }
+    if (blame)
+        *blame = std::move(charged);
     return out;
 }
 

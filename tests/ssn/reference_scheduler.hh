@@ -8,8 +8,10 @@
  * per-chip event vectors sorted twice, global-map validation).
  *
  * It is kept as a differential oracle: the library's implementation
- * must produce byte-identical schedules, blame, programs and
- * validation reports. Do not optimise this code; its value is that it
+ * must produce byte-identical schedules, programs and validation
+ * reports, and scheduleBlame (prof/blame.hh) must recompute from the
+ * finished schedule the blame this scheduler charged while placing
+ * each vector. Do not optimise this code; its value is that it
  * is the old, slow, obviously-correct version.
  */
 
@@ -20,6 +22,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "prof/blame.hh"
 #include "ssn/scheduler.hh"
 
 namespace tsm::reference {
@@ -32,9 +35,13 @@ std::vector<Topology::Path> paths(const Topology &topo, TspId src,
                                   TspId dst, unsigned max_extra_hops,
                                   unsigned limit = 64);
 
-/** The old SsnScheduler::schedule. */
+/**
+ * The old SsnScheduler::schedule, plus each flow's earliest cycle. It
+ * charges static blame inline, into `*blame` when given.
+ */
 NetworkSchedule schedule(const Topology &topo, const SsnConfig &config,
-                         const std::vector<TensorTransfer> &transfers);
+                         const std::vector<TensorTransfer> &transfers,
+                         ScheduleBlame *blame = nullptr);
 
 /** The old validateSchedule. */
 ValidationReport validateSchedule(const NetworkSchedule &sched,

@@ -67,34 +67,5 @@ TEST(ReservationLedger, CustomWindow)
     EXPECT_EQ(ledger.earliestFree(0, true, 0), 10u);
 }
 
-TEST(ReservationLedger, OccupantsInRangeNamesOwners)
-{
-    ReservationLedger ledger(2, 10);
-    ledger.reserve(0, true, 0, 7);
-    ledger.reserve(0, true, 10, 8);
-    ledger.reserve(0, true, 30, 9);
-    ledger.reserve(0, false, 0, 1); // other direction, never reported
-    ledger.reserve(1, true, 0, 2);  // other link, never reported
-
-    // Overlap is half-open on both sides: a window ending exactly at
-    // `from` or starting exactly at `to` is not an occupant.
-    const auto occ = ledger.occupantsInRange(0, true, 5, 30);
-    ASSERT_EQ(occ.size(), 2u);
-    EXPECT_EQ(occ[0].start, 0u);
-    EXPECT_EQ(occ[0].owner, 7u);
-    EXPECT_EQ(occ[1].start, 10u);
-    EXPECT_EQ(occ[1].owner, 8u);
-
-    EXPECT_TRUE(ledger.occupantsInRange(0, true, 20, 30).empty());
-    EXPECT_TRUE(ledger.occupantsInRange(1, false, 0, 100).empty());
-
-    // Default-owner reservations still report, tagged invalid.
-    ReservationLedger anon(1, 10);
-    anon.reserve(0, true, 0);
-    const auto a = anon.occupantsInRange(0, true, 0, 10);
-    ASSERT_EQ(a.size(), 1u);
-    EXPECT_EQ(a[0].owner, kFlowInvalid);
-}
-
 } // namespace
 } // namespace tsm

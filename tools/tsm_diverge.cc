@@ -1,8 +1,8 @@
 /**
  * @file
  * First-divergence determinism auditor: compares two tsm-journal-v1
- * event journals (recorded with --journal=FILE or
- * SystemConfig::journalPath) and reports the first event at which the
+ * event journals (recorded with --journal=FILE, or by a JournalSink
+ * attached to a run's tracer) and reports the first event at which the
  * two runs differ, together with the causal span ancestry of the
  * offending transfer — every earlier event belonging to the same
  * vector journey, so the report reads as "this transfer, on this leg,

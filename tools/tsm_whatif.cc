@@ -66,7 +66,7 @@ runCheck(const std::string &path, unsigned top, double factor,
     }
     const tsm::Topology &topo = compiled->topo;
     const tsm::NetworkSchedule &sched = compiled->schedule;
-    tsm::WhatIfEngine engine(sched, topo, compiled->lowered.transfers);
+    tsm::WhatIfEngine engine(sched, topo);
 
     std::printf("%s: %zu flows, %zu vectors, makespan %llu cycles\n",
                 scenario.name.c_str(), compiled->lowered.transfers.size(),
