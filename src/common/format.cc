@@ -237,4 +237,19 @@ vformat(std::string_view fmt, const std::vector<FormatArg> &args)
 }
 
 } // namespace detail
+
+char *
+appendFixed6(char *out, double v)
+{
+    char *end =
+        std::to_chars(out, out + kMaxFixed6, v, std::chars_format::fixed, 6)
+            .ptr;
+    // A finite value always has a point six digits from the end.
+    while (end[-1] == '0')
+        --end;
+    if (end[-1] == '.')
+        *end++ = '0';
+    return end;
+}
+
 } // namespace tsm

@@ -15,11 +15,18 @@
  * Formatting is runtime-checked: a malformed string or arity mismatch
  * throws std::runtime_error (callers are internal; a throw here is a
  * programming error surfaced loudly in tests).
+ *
+ * Deterministic text (journals, JSON documents) is rendered through
+ * the append*() functions below instead: std::to_chars straight into
+ * the caller's buffer, with no locale, no format string and no
+ * temporary.
  */
 
 #ifndef TSM_COMMON_FORMAT_HH
 #define TSM_COMMON_FORMAT_HH
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -81,6 +88,45 @@ format(std::string_view fmt, Args &&...args)
     (v.push_back(detail::FormatArg::make(std::forward<Args>(args))), ...);
     return detail::vformat(fmt, v);
 }
+
+/// @name Appenders
+/// Each writes its text at `out`, which must have room for the kMax*
+/// bytes named beside it, and returns the end of what it wrote.
+/// @{
+
+/** Longest decimal integer: INT64_MIN and UINT64_MAX take 20. */
+inline constexpr std::size_t kMaxDecimal = 20;
+
+/** Longest hexadecimal 64-bit value. */
+inline constexpr std::size_t kMaxHex = 16;
+
+/** Longest fixed-6 double: sign, DBL_MAX's 309 digits, point, six. */
+inline constexpr std::size_t kMaxFixed6 = 1 + 309 + 1 + 6;
+
+/** The decimal form of an integer ("-42"). */
+template <std::integral T>
+inline char *
+appendDecimal(char *out, T v)
+{
+    return std::to_chars(out, out + kMaxDecimal, v).ptr;
+}
+
+/** Lowercase hexadecimal without a prefix ("1f"). */
+inline char *
+appendHex(char *out, std::uint64_t v)
+{
+    return std::to_chars(out, out + kMaxHex, v, 16).ptr;
+}
+
+/**
+ * `v` as printf("%.6f") prints it in the C locale, with trailing zeros
+ * trimmed down to one fractional digit ("0.5", "2.0", "-0.0"). Every
+ * finite double prints in full; non-finite ones print "inf", "-inf" or
+ * "nan", so callers whose format has no such values map them first.
+ */
+char *appendFixed6(char *out, double v);
+
+/// @}
 
 } // namespace tsm
 

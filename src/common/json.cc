@@ -1,11 +1,11 @@
 #include "common/json.hh"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include <string_view>
 
+#include "common/format.hh"
 #include "common/log.hh"
 
 namespace tsm {
@@ -13,26 +13,6 @@ namespace tsm {
 namespace {
 
 const Json kNullJson;
-
-/**
- * Fixed-point double formatting with trailing-zero trimming: enough
- * digits to be useful, few enough to be readable, and — critically —
- * deterministic for identical inputs.
- */
-std::string
-formatDouble(double v)
-{
-    if (!std::isfinite(v))
-        return "null"; // JSON has no inf/nan; reports never produce them
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", v);
-    std::string s = buf;
-    while (s.size() > 1 && s.back() == '0')
-        s.pop_back();
-    if (s.back() == '.')
-        s.push_back('0');
-    return s;
-}
 
 /** Append one Unicode code point to `out` as UTF-8 (1-4 bytes). */
 void
@@ -55,27 +35,39 @@ appendUtf8(std::string &out, std::uint32_t cp)
     }
 }
 
+/** Append `s` as a quoted JSON string; runs that need no escape are
+ *  appended in one call each. */
 void
-escapeTo(std::string &out, const std::string &s)
+escapeTo(std::string &out, std::string_view s)
 {
+    static constexpr char kHex[] = "0123456789abcdef";
     out.push_back('"');
-    for (const char c : s) {
+    std::size_t run = 0; // start of the pending unescaped run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        const char *escape;
         switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
+          case '"': escape = "\\\""; break;
+          case '\\': escape = "\\\\"; break;
+          case '\n': escape = "\\n"; break;
+          case '\t': escape = "\\t"; break;
+          case '\r': escape = "\\r"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(c);
-            }
+            if (c >= 0x20)
+                continue;
+            escape = nullptr;
+        }
+        out.append(s, run, i - run);
+        run = i + 1;
+        if (escape) {
+            out += escape;
+        } else {
+            out += "\\u00";
+            out.push_back(kHex[c >> 4]);
+            out.push_back(kHex[c & 0xf]);
         }
     }
+    out.append(s, run, s.size() - run);
     out.push_back('"');
 }
 
@@ -185,18 +177,25 @@ class Parser
             fail("expected a value");
             return {};
         }
-        const std::string tok = text_.substr(start, pos_ - start);
-        if (tok.find_first_of(".eE") == std::string::npos) {
-            errno = 0;
-            char *end = nullptr;
-            const long long v = std::strtoll(tok.c_str(), &end, 10);
-            if (end == tok.c_str() + tok.size() && errno == 0)
-                return Json(std::int64_t(v));
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        const std::string_view tok(first, pos_ - start);
+        if (tok.find_first_of(".eE") == std::string_view::npos) {
+            // Integers beyond int64 fall through and become doubles.
+            std::int64_t v = 0;
+            const auto [end, ec] = std::from_chars(first, last, v);
+            if (ec == std::errc() && end == last)
+                return Json(v);
         }
-        char *end = nullptr;
-        const double d = std::strtod(tok.c_str(), &end);
-        if (end != tok.c_str() + tok.size()) {
-            fail("malformed number \"" + tok + '"');
+        double d = 0.0;
+        const auto [end, ec] = std::from_chars(first, last, d);
+        if (ec == std::errc::result_out_of_range && end == last) {
+            pos_ = start;
+            fail("number out of range");
+            return {};
+        }
+        if (ec != std::errc() || end != last) {
+            fail("malformed number \"" + std::string(tok) + '"');
             return {};
         }
         return Json(d);
@@ -361,13 +360,10 @@ class Parser
 
 Json::Json(std::uint64_t v)
 {
-    if (v <= std::uint64_t(INT64_MAX)) {
-        kind_ = Kind::Int;
-        int_ = std::int64_t(v);
-    } else {
-        kind_ = Kind::Double;
-        dbl_ = double(v);
-    }
+    if (v <= std::uint64_t(INT64_MAX))
+        v_.emplace<std::int64_t>(std::int64_t(v));
+    else
+        v_.emplace<double>(double(v));
 }
 
 Json::Json(double v)
@@ -375,20 +371,17 @@ Json::Json(double v)
     // Store integral doubles as exact integers so counters that pass
     // through double arithmetic still print exactly.
     if (std::isfinite(v) && std::nearbyint(v) == v &&
-        std::abs(v) < 9.0e15) {
-        kind_ = Kind::Int;
-        int_ = std::int64_t(v);
-    } else {
-        kind_ = Kind::Double;
-        dbl_ = v;
-    }
+        std::abs(v) < 9.0e15)
+        v_.emplace<std::int64_t>(std::int64_t(v));
+    else
+        v_.emplace<double>(v);
 }
 
 Json
 Json::array()
 {
     Json j;
-    j.kind_ = Kind::Array;
+    j.v_.emplace<Items>();
     return j;
 }
 
@@ -396,90 +389,92 @@ Json
 Json::object()
 {
     Json j;
-    j.kind_ = Kind::Object;
+    j.v_.emplace<Members>();
     return j;
 }
 
 bool
 Json::boolean() const
 {
-    TSM_ASSERT(kind_ == Kind::Bool, "not a boolean");
-    return bool_;
+    TSM_ASSERT(kind() == Kind::Bool, "not a boolean");
+    return std::get<bool>(v_);
 }
 
 std::int64_t
 Json::integer() const
 {
-    TSM_ASSERT(kind_ == Kind::Int, "not an integer");
-    return int_;
+    TSM_ASSERT(kind() == Kind::Int, "not an integer");
+    return std::get<std::int64_t>(v_);
 }
 
 double
 Json::number() const
 {
     TSM_ASSERT(isNumber(), "not a number");
-    return kind_ == Kind::Int ? double(int_) : dbl_;
+    return kind() == Kind::Int ? double(std::get<std::int64_t>(v_))
+                               : std::get<double>(v_);
 }
 
 const std::string &
 Json::str() const
 {
-    TSM_ASSERT(kind_ == Kind::String, "not a string");
-    return str_;
+    TSM_ASSERT(kind() == Kind::String, "not a string");
+    return std::get<std::string>(v_);
 }
 
 std::size_t
 Json::size() const
 {
-    if (kind_ == Kind::Array)
-        return arr_.size();
-    if (kind_ == Kind::Object)
-        return obj_.size();
+    if (kind() == Kind::Array)
+        return std::get<Items>(v_).size();
+    if (kind() == Kind::Object)
+        return std::get<Members>(v_).size();
     return 0;
 }
 
 Json &
 Json::push(Json v)
 {
-    TSM_ASSERT(kind_ == Kind::Array, "push on a non-array");
-    arr_.push_back(std::move(v));
+    TSM_ASSERT(kind() == Kind::Array, "push on a non-array");
+    std::get<Items>(v_).push_back(std::move(v));
     return *this;
 }
 
 const Json &
 Json::at(std::size_t i) const
 {
-    TSM_ASSERT(kind_ == Kind::Array && i < arr_.size(),
+    TSM_ASSERT(kind() == Kind::Array && i < std::get<Items>(v_).size(),
                "array index out of range");
-    return arr_[i];
+    return std::get<Items>(v_)[i];
 }
 
 const std::vector<Json> &
 Json::items() const
 {
-    TSM_ASSERT(kind_ == Kind::Array, "not an array");
-    return arr_;
+    TSM_ASSERT(kind() == Kind::Array, "not an array");
+    return std::get<Items>(v_);
 }
 
 Json &
 Json::set(const std::string &key, Json v)
 {
-    TSM_ASSERT(kind_ == Kind::Object, "set on a non-object");
-    for (auto &[k, existing] : obj_) {
+    TSM_ASSERT(kind() == Kind::Object, "set on a non-object");
+    Members &obj = std::get<Members>(v_);
+    for (auto &[k, existing] : obj) {
         if (k == key) {
             existing = std::move(v);
             return *this;
         }
     }
-    obj_.emplace_back(key, std::move(v));
+    obj.emplace_back(key, std::move(v));
     return *this;
 }
 
 const Json &
 Json::operator[](const std::string &key) const
 {
-    if (kind_ == Kind::Object)
-        for (const auto &[k, v] : obj_)
+    if (kind() == Kind::Object)
+        for (const auto &[k, v] : std::get<Members>(v_))
             if (k == key)
                 return v;
     return kNullJson;
@@ -488,9 +483,9 @@ Json::operator[](const std::string &key) const
 bool
 Json::has(const std::string &key) const
 {
-    if (kind_ != Kind::Object)
+    if (kind() != Kind::Object)
         return false;
-    for (const auto &[k, v] : obj_)
+    for (const auto &[k, v] : std::get<Members>(v_))
         if (k == key)
             return true;
     return false;
@@ -499,8 +494,8 @@ Json::has(const std::string &key) const
 const std::vector<std::pair<std::string, Json>> &
 Json::members() const
 {
-    TSM_ASSERT(kind_ == Kind::Object, "not an object");
-    return obj_;
+    TSM_ASSERT(kind() == Kind::Object, "not an object");
+    return std::get<Members>(v_);
 }
 
 void
@@ -513,48 +508,65 @@ Json::dumpTo(std::string &out, unsigned indent, unsigned depth) const
         out.append(std::size_t(indent) * d, ' ');
     };
 
-    switch (kind_) {
+    switch (kind()) {
       case Kind::Null: out += "null"; break;
-      case Kind::Bool: out += bool_ ? "true" : "false"; break;
-      case Kind::Int: out += std::to_string(int_); break;
-      case Kind::Double: out += formatDouble(dbl_); break;
-      case Kind::String: escapeTo(out, str_); break;
+      case Kind::Bool: out += std::get<bool>(v_) ? "true" : "false"; break;
+      case Kind::Int: {
+        char buf[kMaxDecimal];
+        out.append(buf, appendDecimal(buf, std::get<std::int64_t>(v_)));
+        break;
+      }
+      case Kind::Double: {
+        // JSON has no inf/nan; reports never produce them.
+        const double d = std::get<double>(v_);
+        char buf[kMaxFixed6];
+        if (std::isfinite(d))
+            out.append(buf, appendFixed6(buf, d));
+        else
+            out += "null";
+        break;
+      }
+      case Kind::String: escapeTo(out, std::get<std::string>(v_)); break;
 
-      case Kind::Array:
-        if (arr_.empty()) {
+      case Kind::Array: {
+        const Items &arr = std::get<Items>(v_);
+        if (arr.empty()) {
             out += "[]";
             break;
         }
         out.push_back('[');
-        for (std::size_t i = 0; i < arr_.size(); ++i) {
+        for (std::size_t i = 0; i < arr.size(); ++i) {
             if (i)
                 out.push_back(',');
             newline(depth + 1);
-            arr_[i].dumpTo(out, indent, depth + 1);
+            arr[i].dumpTo(out, indent, depth + 1);
         }
         newline(depth);
         out.push_back(']');
         break;
+      }
 
-      case Kind::Object:
-        if (obj_.empty()) {
+      case Kind::Object: {
+        const Members &obj = std::get<Members>(v_);
+        if (obj.empty()) {
             out += "{}";
             break;
         }
         out.push_back('{');
-        for (std::size_t i = 0; i < obj_.size(); ++i) {
+        for (std::size_t i = 0; i < obj.size(); ++i) {
             if (i)
                 out.push_back(',');
             newline(depth + 1);
-            escapeTo(out, obj_[i].first);
+            escapeTo(out, obj[i].first);
             out.push_back(':');
             if (indent)
                 out.push_back(' ');
-            obj_[i].second.dumpTo(out, indent, depth + 1);
+            obj[i].second.dumpTo(out, indent, depth + 1);
         }
         newline(depth);
         out.push_back('}');
         break;
+      }
     }
 }
 

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace tsm {
@@ -40,23 +41,25 @@ class Json
     };
 
     Json() = default;
-    Json(bool b) : kind_(Kind::Bool), bool_(b) {}
-    Json(int v) : kind_(Kind::Int), int_(v) {}
-    Json(unsigned v) : kind_(Kind::Int), int_(std::int64_t(v)) {}
-    Json(std::int64_t v) : kind_(Kind::Int), int_(v) {}
+    Json(bool b) : v_(std::in_place_type<bool>, b) {}
+    Json(int v) : v_(std::in_place_type<std::int64_t>, v) {}
+    Json(unsigned v) : v_(std::in_place_type<std::int64_t>, v) {}
+    Json(std::int64_t v) : v_(std::in_place_type<std::int64_t>, v) {}
     Json(std::uint64_t v);
     Json(double v);
-    Json(const char *s) : kind_(Kind::String), str_(s) {}
-    Json(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
+    Json(const char *s) : v_(std::in_place_type<std::string>, s) {}
+    Json(std::string s)
+        : v_(std::in_place_type<std::string>, std::move(s))
+    {}
 
     static Json array();
     static Json object();
 
-    Kind kind() const { return kind_; }
-    bool isNull() const { return kind_ == Kind::Null; }
+    Kind kind() const { return Kind(v_.index()); }
+    bool isNull() const { return kind() == Kind::Null; }
     bool isNumber() const
     {
-        return kind_ == Kind::Int || kind_ == Kind::Double;
+        return kind() == Kind::Int || kind() == Kind::Double;
     }
 
     /// @name Typed access (asserts on kind mismatch)
@@ -108,15 +111,15 @@ class Json
     static Json parse(const std::string &text, std::string *error = nullptr);
 
   private:
+    using Items = std::vector<Json>;
+    using Members = std::vector<std::pair<std::string, Json>>;
+
     void dumpTo(std::string &out, unsigned indent, unsigned depth) const;
 
-    Kind kind_ = Kind::Null;
-    bool bool_ = false;
-    std::int64_t int_ = 0;
-    double dbl_ = 0.0;
-    std::string str_;
-    std::vector<Json> arr_;
-    std::vector<std::pair<std::string, Json>> obj_;
+    /** One alternative per Kind, in Kind's order: kind() is index(). */
+    std::variant<std::monostate, bool, std::int64_t, double, std::string,
+                 Items, Members>
+        v_;
 };
 
 } // namespace tsm

@@ -22,12 +22,20 @@ constexpr std::size_t kMaxBlameChains = 8;
 constexpr std::size_t kMaxChainDepth = 8;
 constexpr std::size_t kMaxBlockedBy = 4;
 
+/** A flow id as an object key ("7"). */
+std::string
+flowKey(std::uint64_t flow)
+{
+    char buf[kMaxDecimal];
+    return std::string(buf, appendDecimal(buf, flow));
+}
+
 Json
 sharesJson(const WaitShares &shares)
 {
     Json flows = Json::object();
     for (const auto &[flow, ps] : shares.flowPs)
-        flows.set(format("{}", flow), std::uint64_t(ps));
+        flows.set(flowKey(flow), std::uint64_t(ps));
     Json out = Json::object();
     out.set("flows", std::move(flows));
     out.set("local_ps", std::uint64_t(shares.localPs));
@@ -340,7 +348,7 @@ BlameCollector::setSchedule(const NetworkSchedule &sched,
     for (const auto &[link, row] : blame.linkFlowCycles) {
         Json flows = Json::object();
         for (const auto &[flow, cycles] : row)
-            flows.set(format("{}", flow), std::uint64_t(cycles));
+            flows.set(flowKey(flow), std::uint64_t(cycles));
         Json entry = Json::object();
         entry.set("id", std::uint64_t(link));
         entry.set("flows", std::move(flows));

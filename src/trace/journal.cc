@@ -1,25 +1,86 @@
 #include "trace/journal.hh"
 
-#include <cinttypes>
-#include <cstdio>
+#include <array>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
+#include <string_view>
 
+#include "common/format.hh"
 #include "common/log.hh"
 
 namespace tsm {
 
+namespace {
+
+/** Longest category or event name the journal accepts. */
+constexpr std::size_t kMaxName = 32;
+
+/** Longest line, newline included: five numbers, two names, six
+ *  spaces and the newline. */
+constexpr std::size_t kMaxLine =
+    4 * kMaxDecimal + kMaxHex + 2 * kMaxName + 7;
+
+static_assert(kMaxLine <= JournalSink::kChunk);
+
+/** Every category's and op's rendered name, measured once; indexed
+ *  by the one-byte enum, so a stray value reads "?" as before. */
+struct Names
+{
+    std::array<std::string_view, 256> cats;
+    std::array<std::string_view, 256> ops;
+
+    Names()
+    {
+        for (unsigned i = 0; i < 256; ++i) {
+            cats[i] = check(traceCatName(TraceCat(i)));
+            ops[i] = check(traceOpName(TraceOp(i)));
+        }
+    }
+
+    static std::string_view
+    check(std::string_view name)
+    {
+        TSM_ASSERT(name.size() <= kMaxName, "journal name too long");
+        return name;
+    }
+};
+
+char *
+appendName(char *out, std::string_view name)
+{
+    std::memcpy(out, name.data(), name.size());
+    return out + name.size();
+}
+
+/** Write `ev`'s canonical line at `out`, which has room for kMaxLine
+ *  bytes; returns its end (no newline). */
+char *
+appendJournalLine(char *out, const TraceEvent &ev)
+{
+    static const Names names;
+    out = appendDecimal(out, std::uint64_t(ev.tick));
+    *out++ = ' ';
+    out = appendName(out, names.cats[unsigned(ev.cat)]);
+    *out++ = ' ';
+    out = appendDecimal(out, ev.actor);
+    *out++ = ' ';
+    out = appendName(out, names.ops[unsigned(ev.op)]);
+    *out++ = ' ';
+    out = appendDecimal(out, ev.a);
+    *out++ = ' ';
+    out = appendDecimal(out, ev.b);
+    *out++ = ' ';
+    return appendHex(out, std::uint64_t(ev.span));
+}
+
+} // namespace
+
 std::string
 journalLine(const TraceEvent &ev)
 {
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "%" PRIu64 " %s %" PRIu32 " %s %" PRId64 " %" PRId64
-                  " %" PRIx64,
-                  std::uint64_t(ev.tick), traceCatName(ev.cat), ev.actor,
-                  traceOpName(ev.op), ev.a, ev.b,
-                  std::uint64_t(ev.span));
-    return buf;
+    char buf[kMaxLine];
+    return std::string(buf, appendJournalLine(buf, ev));
 }
 
 JournalSink::JournalSink(std::ostream &os) : os_(&os)
@@ -45,8 +106,19 @@ JournalSink::event(const TraceEvent &ev)
 {
     if (finished_)
         return;
-    *os_ << journalLine(ev) << "\n";
+    if (used_ > kChunk - kMaxLine)
+        drain();
+    char *end = appendJournalLine(buf_.data() + used_, ev);
+    *end++ = '\n';
+    used_ = std::size_t(end - buf_.data());
     ++events_;
+}
+
+void
+JournalSink::drain()
+{
+    os_->write(buf_.data(), std::streamsize(used_));
+    used_ = 0;
 }
 
 void
@@ -55,6 +127,7 @@ JournalSink::finish()
     if (finished_)
         return;
     finished_ = true;
+    drain();
     os_->flush();
 }
 

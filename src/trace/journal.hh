@@ -23,6 +23,7 @@
 #ifndef TSM_TRACE_JOURNAL_HH
 #define TSM_TRACE_JOURNAL_HH
 
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -37,10 +38,19 @@ namespace tsm {
 /** Header line identifying the journal format. */
 inline constexpr const char *kJournalMagic = "# tsm-journal-v1";
 
-/** Streams every trace event as one canonical text line. */
+/**
+ * Streams every trace event as one canonical text line. Lines are
+ * formatted into one buffer that goes to the stream in chunks of at
+ * most kChunk bytes; the tail follows at finish() or destruction, so
+ * read the stream only after one of them.
+ */
 class JournalSink : public TraceSink
 {
   public:
+    /** Most bytes handed to the stream at once: std::filebuf's own
+     *  buffer size. */
+    static constexpr std::size_t kChunk = 8192;
+
     /** Write into an externally owned stream (tests). */
     explicit JournalSink(std::ostream &os);
 
@@ -62,8 +72,13 @@ class JournalSink : public TraceSink
     std::uint64_t eventsWritten() const { return events_; }
 
   private:
+    /** Hand the buffered lines to the stream. */
+    void drain();
+
     std::unique_ptr<std::ofstream> owned_;
     std::ostream *os_;
+    std::array<char, kChunk> buf_{};
+    std::size_t used_ = 0; ///< bytes of buf_ holding lines
     std::uint64_t events_ = 0;
     bool finished_ = false;
 };

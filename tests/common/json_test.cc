@@ -40,6 +40,27 @@ TEST(Json, DoublesTrimTrailingZeros)
     EXPECT_EQ(s.find("0.500000"), std::string::npos);
 }
 
+TEST(Json, DoublesBeyond1e62PrintInFullAndRoundTrip)
+{
+    // A fixed 64-byte buffer used to cut these off: 1e63 printed as a
+    // 63-digit integer, ten times too small.
+    for (const double v : {1e62, 1e63, -1e70, 1.7976931348623157e308}) {
+        const std::string text = Json(v).dump();
+        std::string error;
+        const Json back = Json::parse(text, &error);
+        ASSERT_TRUE(error.empty()) << error;
+        EXPECT_EQ(back.kind(), Json::Kind::Double) << text;
+        EXPECT_EQ(back.number(), v) << text;
+        EXPECT_EQ(back.dump(), text);
+    }
+    EXPECT_EQ(Json(1e63).dump().size(), 64u + 2u);
+}
+
+TEST(Json, IsACompactValue)
+{
+    EXPECT_LE(sizeof(Json), 40u);
+}
+
 TEST(Json, MemberAccessNullSentinel)
 {
     Json o = Json::object();
@@ -94,6 +115,44 @@ TEST(Json, ParseErrorsReport)
     // Trailing garbage after a valid document is an error.
     EXPECT_TRUE(Json::parse("{} x", &error).isNull());
     EXPECT_FALSE(error.empty());
+}
+
+TEST(Json, NumbersOutsideDoubleRangeAreErrors)
+{
+    const struct
+    {
+        const char *text;
+        const char *error;
+    } cases[] = {
+        {"1e999", "number out of range at offset 0"},
+        {"-1e999", "number out of range at offset 0"},
+        {"[1, 2.5e400]", "number out of range at offset 4"},
+        {"{\"x\": -1e-999}", "number out of range at offset 6"},
+        {"+1", "malformed number \"+1\" at offset 2"},
+        {"1e", "malformed number \"1e\" at offset 2"},
+        {"1-2", "malformed number \"1-2\" at offset 3"},
+    };
+    for (const auto &c : cases) {
+        std::string error;
+        EXPECT_TRUE(Json::parse(c.text, &error).isNull()) << c.text;
+        EXPECT_EQ(error, c.error) << c.text;
+    }
+}
+
+TEST(Json, IntegersBeyondInt64BecomeDoubles)
+{
+    std::string error;
+    const Json big = Json::parse("[9223372036854775807, "
+                                 "9223372036854775808, "
+                                 "-9223372036854775809]",
+                                 &error);
+    ASSERT_TRUE(error.empty()) << error;
+    EXPECT_EQ(big.at(0).kind(), Json::Kind::Int);
+    EXPECT_EQ(big.at(0).integer(), INT64_MAX);
+    EXPECT_EQ(big.at(1).kind(), Json::Kind::Double);
+    EXPECT_EQ(big.at(1).number(), 9223372036854775808.0);
+    EXPECT_EQ(big.at(2).kind(), Json::Kind::Double);
+    EXPECT_EQ(big.at(2).number(), -9223372036854775808.0);
 }
 
 TEST(Json, UnicodeEscapesDecodeToUtf8)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -100,6 +101,143 @@ TEST(ReadJournal, RoundTripsThroughAFile)
     EXPECT_EQ(recs[0].line, 2u);
     EXPECT_EQ(recs[1].cat, "net");
     std::remove(path.c_str());
+}
+
+/** `n` events with every category and op and wide, varied fields. */
+std::vector<TraceEvent>
+manyEvents(std::size_t n)
+{
+    std::vector<TraceEvent> events;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        TraceEvent ev;
+        ev.tick = i * 0x9e3779b97f4a7c15ull;
+        ev.cat = TraceCat(i % kNumTraceCats);
+        ev.op = TraceOp(i % (unsigned(TraceOp::Completed) + 1));
+        ev.actor = std::uint32_t(i * 2654435761u);
+        ev.a = std::int64_t(i * i) - 500000;
+        ev.b = -std::int64_t(i << 40);
+        ev.span = i % 3 ? i * 0xff51afd7ed558ccdull : kSpanNone;
+        events.push_back(ev);
+    }
+    return events;
+}
+
+/** The journal `events` must produce, magic line included. */
+std::string
+expectedJournal(const std::vector<TraceEvent> &events)
+{
+    std::string text = std::string(kJournalMagic) + "\n";
+    for (const TraceEvent &ev : events)
+        text += journalLine(ev) + "\n";
+    return text;
+}
+
+/** A stream buffer that records every write it is handed. */
+class WriteRecorder : public std::streambuf
+{
+  public:
+    std::vector<std::size_t> writes;
+    std::string bytes;
+
+  protected:
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        writes.push_back(std::size_t(n));
+        bytes.append(s, std::size_t(n));
+        return n;
+    }
+
+    int_type
+    overflow(int_type c) override
+    {
+        if (!traits_type::eq_int_type(c, traits_type::eof())) {
+            writes.push_back(1);
+            bytes.push_back(traits_type::to_char_type(c));
+        }
+        return traits_type::not_eof(c);
+    }
+};
+
+TEST(JournalSink, HandsTheStreamWholeLinesInChunksOfAtMost8KiB)
+{
+    const std::vector<TraceEvent> events = manyEvents(4000);
+    WriteRecorder rec;
+    std::ostream os(&rec);
+    JournalSink sink(os);
+    for (const TraceEvent &ev : events)
+        sink.event(ev);
+    ASSERT_FALSE(rec.bytes.empty());
+    EXPECT_EQ(rec.bytes.back(), '\n');
+    sink.finish();
+    EXPECT_EQ(rec.bytes, expectedJournal(events));
+    EXPECT_GT(rec.writes.size(), 20u);
+    EXPECT_LE(*std::max_element(rec.writes.begin(), rec.writes.end()),
+              JournalSink::kChunk);
+}
+
+TEST(ReadJournal, LargeJournalsMatchLineForLineThroughBothConstructors)
+{
+    const std::vector<TraceEvent> events = manyEvents(5000);
+    const std::string byPath = testing::TempDir() + "/journal_large.tsmj";
+    const std::string byStream =
+        testing::TempDir() + "/journal_large_stream.tsmj";
+    {
+        JournalSink sink(byPath);
+        std::ofstream f(byStream);
+        JournalSink streamed(f);
+        for (const TraceEvent &ev : events) {
+            sink.event(ev);
+            streamed.event(ev);
+        }
+    }
+    for (const std::string &path : {byPath, byStream}) {
+        std::vector<JournalRecord> recs;
+        std::string error;
+        ASSERT_TRUE(readJournal(path, recs, &error)) << error;
+        ASSERT_EQ(recs.size(), events.size()) << path;
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            const TraceEvent &ev = events[i];
+            const JournalRecord &r = recs[i];
+            ASSERT_TRUE(r.tick == ev.tick && r.cat == traceCatName(ev.cat) &&
+                        r.actor == ev.actor &&
+                        r.name == traceOpName(ev.op) && r.a == ev.a &&
+                        r.b == ev.b && r.span == ev.span)
+                << path << ":" << r.line << ": " << r.raw;
+        }
+        std::remove(path.c_str());
+    }
+}
+
+TEST(JournalSink, FinishFlushesTheTailOnceAndLaterEventsAreDropped)
+{
+    const std::vector<TraceEvent> events = manyEvents(3);
+    std::ostringstream os;
+    JournalSink sink(os);
+    for (const TraceEvent &ev : events)
+        sink.event(ev);
+    // Only the magic line has reached the stream; the events are the
+    // buffered tail.
+    EXPECT_EQ(os.str(), std::string(kJournalMagic) + "\n");
+    sink.finish();
+    EXPECT_EQ(os.str(), expectedJournal(events));
+    sink.finish();
+    sink.event(events[0]);
+    sink.finish();
+    EXPECT_EQ(os.str(), expectedJournal(events));
+    EXPECT_EQ(sink.eventsWritten(), events.size());
+}
+
+TEST(JournalSink, DestructorFlushesWithoutFinish)
+{
+    const std::vector<TraceEvent> events = manyEvents(300);
+    std::ostringstream os;
+    {
+        JournalSink sink(os);
+        for (const TraceEvent &ev : events)
+            sink.event(ev);
+    }
+    EXPECT_EQ(os.str(), expectedJournal(events));
 }
 
 /** Run the 2-flow scheduled scenario, journaling into `os`. */
