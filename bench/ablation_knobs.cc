@@ -17,6 +17,7 @@
 #include "common/cli.hh"
 #include "common/table.hh"
 #include "hostprof/hostprof.hh"
+#include "runtime/machine.hh"
 #include "ssn/scheduler.hh"
 #include "sync/hac_aligner.hh"
 #include "trace/session.hh"
@@ -57,17 +58,15 @@ hacRateAblation(HostProfiler *hp)
                 "120 cycles off):\n");
     Table table({"max adjust/update", "epochs to converge"});
     for (int rate : {1, 2, 4, 8, 16, 32}) {
-        EventQueue eq;
+        Machine machine(SystemConfig{}); // one node of 8 TSPs
+        EventQueue &eq = machine.eventq();
         eq.setHostProfiler(hp);
-        Topology topo = Topology::makeNode();
-        Network net(topo, eq, Rng(4));
-        TspChip parent(0, net, DriftClock());
-        TspChip child(1, net, DriftClock());
+        TspChip &child = machine.chip(1);
         child.adjustHac(120);
         HacAlignerConfig cfg;
         cfg.maxAdjustPerUpdate = rate;
         HacAligner aligner(
-            parent, child, topo.linksBetween(0, 1)[0],
+            machine.chip(0), child, machine.topo().linksBetween(0, 1)[0],
             double(linkPropagationPs(LinkClass::IntraNode)) /
                 kCorePeriodPs,
             cfg);

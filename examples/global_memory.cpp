@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <memory>
 
 #include "runtime/global_memory.hh"
 
@@ -18,20 +17,12 @@ using namespace tsm;
 int
 main()
 {
-    const Topology topo = Topology::makeNode();
-    EventQueue eq;
-    Network net(topo, eq, Rng(8));
-    std::vector<std::unique_ptr<TspChip>> owned;
-    std::vector<TspChip *> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        owned.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-        chips.push_back(owned.back().get());
-    }
-    GlobalMemory gm(topo, chips);
+    Machine machine(SystemConfig{}); // one node of 8 TSPs
+    GlobalMemory gm(machine);
     std::printf("global memory: %.2f GiB over %u devices, addressed as "
                 "[%u, 2, 44, 2, 4096] x 320 B\n\n",
-                double(gm.capacity()) / double(kGiB), topo.numTsps(),
-                topo.numTsps());
+                double(gm.capacity()) / double(kGiB), machine.numTsps(),
+                machine.numTsps());
 
     // Producer: device 2 computes a 256 KiB tensor into its SRAM.
     const auto vectors = std::uint32_t(bytesToVectors(256 * kKiB));
@@ -59,7 +50,7 @@ main()
                 "%.2f us, %s\n",
                 pushes.size(), compiled.schedule.vectors.size(),
                 double(compiled.schedule.makespan) / kCoreFreqHz * 1e6,
-                validateSchedule(compiled.schedule, topo).ok
+                validateSchedule(compiled.schedule, machine.topo()).ok
                     ? "conflict-free"
                     : "BUG");
 

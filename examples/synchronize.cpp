@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "common/table.hh"
-#include "runtime/system.hh"
+#include "runtime/machine.hh"
 #include "sync/link_characterizer.hh"
 
 using namespace tsm;
@@ -25,7 +25,7 @@ main()
     cfg.numTsps = 8;
     cfg.driftPpmSigma = 50.0;
     cfg.jitter = true;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
 
     // 1. Characterize TSP0's seven intra-node links (Table 2).
     std::printf("link characterization (10k HAC echoes per link):\n");

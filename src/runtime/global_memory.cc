@@ -6,45 +6,37 @@
 
 namespace tsm {
 
-GlobalMemory::GlobalMemory(const Topology &topo,
-                           std::vector<TspChip *> chips)
-    : topo_(&topo), chips_(std::move(chips))
-{
-    TSM_ASSERT(chips_.size() == topo.numTsps(),
-               "one chip per TSP required");
-}
-
 Bytes
 GlobalMemory::capacity() const
 {
-    return Bytes(topo_->numTsps()) * kLocalMemBytes;
+    return Bytes(machine_->numTsps()) * kLocalMemBytes;
 }
 
 std::uint64_t
 GlobalMemory::words() const
 {
-    return std::uint64_t(topo_->numTsps()) * LocalAddr::kWords;
+    return std::uint64_t(machine_->numTsps()) * LocalAddr::kWords;
 }
 
 void
 GlobalMemory::write(const GlobalAddr &addr, VecPtr data)
 {
-    TSM_ASSERT(addr.device < chips_.size(), "device out of range");
-    chips_[addr.device]->mem().write(addr.local, std::move(data));
+    TSM_ASSERT(addr.device < machine_->numTsps(), "device out of range");
+    machine_->chip(addr.device).mem().write(addr.local, std::move(data));
 }
 
 VecPtr
 GlobalMemory::read(const GlobalAddr &addr) const
 {
-    TSM_ASSERT(addr.device < chips_.size(), "device out of range");
-    return chips_[addr.device]->mem().read(addr.local);
+    TSM_ASSERT(addr.device < machine_->numTsps(), "device out of range");
+    return machine_->chip(addr.device).mem().read(addr.local);
 }
 
 bool
 GlobalMemory::present(const GlobalAddr &addr) const
 {
-    TSM_ASSERT(addr.device < chips_.size(), "device out of range");
-    return chips_[addr.device]->mem().present(addr.local);
+    TSM_ASSERT(addr.device < machine_->numTsps(), "device out of range");
+    return machine_->chip(addr.device).mem().present(addr.local);
 }
 
 CompiledPushes
@@ -77,11 +69,13 @@ GlobalMemory::compile(const std::vector<PushRequest> &pushes,
         ++flow;
     }
 
+    std::string error;
+    auto compiled = compileTransfers(machine_->topo(), std::move(transfers),
+                                     config, &error, dst_base, src_base);
+    TSM_ASSERT(compiled, "pushes do not compile: {}", error);
     CompiledPushes out;
-    SsnScheduler scheduler(*topo_, config);
-    out.schedule = scheduler.schedule(transfers);
-    out.programs =
-        buildPrograms(out.schedule, *topo_, dst_base, src_base);
+    out.schedule = std::move(compiled->schedule);
+    out.programs = std::move(compiled->programs);
     // The destination Write lands one cycle after the last arrival's
     // receive margin.
     out.completion = out.schedule.makespan + kRxMarginCycles + 1;
@@ -93,22 +87,16 @@ GlobalMemory::execute(const std::vector<PushRequest> &pushes,
                       SsnConfig config)
 {
     CompiledPushes compiled = compile(pushes, config);
-    EventQueue &eq = chips_.front()->network().eventq();
+    EventQueue &eq = machine_->eventq();
     const Tick start = eq.now();
     // Re-base the compiled cycle numbers onto the current time so the
     // batch can launch at any point in the machine's life.
     const Cycle base = DriftClock().tickToCycle(start) + 4;
-    for (TspId t = 0; t < chips_.size(); ++t) {
-        TSM_ASSERT(!chips_[t]->running(), "chip busy");
-        Program p = std::move(compiled.programs.byChip[t]);
+    for (Program &p : compiled.programs.byChip)
         p.shift(base);
-        p.emitHalt();
-        chips_[t]->load(std::move(p));
-        chips_[t]->start(start);
-    }
-    eq.run();
-    for (const auto *c : chips_)
-        TSM_ASSERT(c->halted(), "push program did not complete");
+    machine_->launch(std::move(compiled.programs.byChip), start);
+    const bool done = machine_->runToCompletion();
+    TSM_ASSERT(done, "push program did not complete");
     return eq.now();
 }
 

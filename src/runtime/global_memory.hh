@@ -10,10 +10,10 @@
  * the consumer's schedule already expects (Fig 9(b) deletes the
  * request leg of the RDMA transaction, halving protocol traffic).
  *
- * GlobalMemory compiles a batch of such pushes into an SSN schedule
- * plus per-chip programs (source-side reads, scheduled sends, and
- * destination-side writes), and offers host-side peek/poke for setup
- * and verification.
+ * GlobalMemory compiles a batch of such pushes through compileTransfers
+ * into an SSN schedule plus per-chip programs (source-side reads,
+ * scheduled sends, and destination-side writes), launches them on a
+ * Machine, and offers host-side peek/poke for setup and verification.
  */
 
 #ifndef TSM_RUNTIME_GLOBAL_MEMORY_HH
@@ -21,8 +21,7 @@
 
 #include <vector>
 
-#include "arch/chip.hh"
-#include "ssn/scheduler.hh"
+#include "runtime/machine.hh"
 
 namespace tsm {
 
@@ -56,11 +55,8 @@ struct CompiledPushes
 class GlobalMemory
 {
   public:
-    /**
-     * @param topo System topology.
-     * @param chips One chip per TSP, indexed by id (externally owned).
-     */
-    GlobalMemory(const Topology &topo, std::vector<TspChip *> chips);
+    /** The memory of `machine`'s chips (the machine must outlive it). */
+    explicit GlobalMemory(Machine &machine) : machine_(&machine) {}
 
     /** Total capacity: 220 MiB per device. */
     Bytes capacity() const;
@@ -80,22 +76,21 @@ class GlobalMemory
     /**
      * Compile a batch of pushes into a conflict-free schedule and
      * per-chip programs. Requests are scheduled in the given order
-     * (flow ids 1..N assigned in order).
+     * (flow ids 1..N assigned in order). Aborts with the compile
+     * diagnosis on pushes the machine cannot carry.
      */
     CompiledPushes compile(const std::vector<PushRequest> &pushes,
                            SsnConfig config = {}) const;
 
     /**
-     * Convenience: compile, load, execute, and drain the given pushes
-     * on the owned chips (which must be idle). @return completion
-     * tick.
+     * Convenience: compile, launch, and drain the given pushes on the
+     * machine's chips (which must be idle). @return completion tick.
      */
     Tick execute(const std::vector<PushRequest> &pushes,
                  SsnConfig config = {});
 
   private:
-    const Topology *topo_;
-    std::vector<TspChip *> chips_;
+    Machine *machine_;
 };
 
 } // namespace tsm

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "runtime/machine.hh"
 
 namespace tsm {
 
@@ -45,20 +46,26 @@ Runtime::logicalTsps() const
     return unsigned(activeNodes().size()) * kTspsPerNode;
 }
 
-std::uint64_t
+std::optional<std::uint64_t>
 Runtime::attempt(const WorkBuilder &work, const FaultScenario &fault,
-                 bool fault_active, Tick &completion)
+                 bool fault_active, Tick &completion, std::string *error)
 {
+    const std::uint64_t seed = seed_ + (++runCounter_);
+
     // Build the physical topology, take failed nodes out of service.
     Topology topo = Topology::makeSingleLevel(nodes_);
     for (unsigned n = 0; n < nodes_; ++n)
         if (!nodeHealthy_[n])
             topo.disableNode(n);
 
-    SystemConfig cfg;
-    cfg.numTsps = topo.numTsps();
-    cfg.seed = seed_ + (++runCounter_);
-    TsmSystem system(cfg, std::move(topo));
+    // Compile: transfers -> schedule -> per-chip programs.
+    auto transfers = work(topo, activeTsps());
+    const auto compiled =
+        compileTransfers(std::move(topo), std::move(transfers), {}, error);
+    if (!compiled)
+        return std::nullopt;
+    Machine machine(*compiled, seed);
+    const std::vector<Link> &links = compiled->topo.links();
 
     // Inject the scenario's marginal-node behaviour.
     if (fault_active && fault.faultyNode != ~0u) {
@@ -66,36 +73,27 @@ Runtime::attempt(const WorkBuilder &work, const FaultScenario &fault,
         em.mbePerVector = fault.mbeRate;
         const TspId lo = fault.faultyNode * kTspsPerNode;
         const TspId hi = lo + kTspsPerNode;
-        for (LinkId l = 0; l < system.topo().links().size(); ++l) {
-            const Link &link = system.topo().links()[l];
+        for (LinkId l = 0; l < links.size(); ++l) {
+            const Link &link = links[l];
             if ((link.a >= lo && link.a < hi) ||
                 (link.b >= lo && link.b < hi))
-                system.net().setLinkErrorModel(l, em);
+                machine.net().setLinkErrorModel(l, em);
         }
     }
 
-    // Compile: transfers -> schedule -> per-chip programs.
-    const auto transfers = work(system.topo(), activeTsps());
-    SsnScheduler scheduler(system.topo());
-    const auto schedule = scheduler.schedule(transfers);
-    auto programs = buildPrograms(schedule, system.topo());
-    // Sources transmit from stream 0; give it a payload.
-    for (TspId t = 0; t < system.numTsps(); ++t)
-        system.chip(t).setStream(0, makeVec(Vec(1.0f)));
-
-    system.launchRaw(std::move(programs.byChip), 0);
-    const bool done = system.runToCompletion();
-    TSM_ASSERT(done, "inference wedged");
-    completion = system.eventq().now();
+    machine.run();
+    for (TspId t = 0; t < machine.numTsps(); ++t)
+        TSM_ASSERT(machine.chip(t).halted(), "inference wedged");
+    completion = machine.eventq().now();
 
     // Triangulate the suspect node from the per-link FEC counters:
     // the node appearing in the most erroring links is the suspect.
     std::vector<std::uint64_t> node_errors(nodes_, 0);
-    for (LinkId l = 0; l < system.topo().links().size(); ++l) {
-        const auto &st = system.net().linkStats(l);
+    for (LinkId l = 0; l < links.size(); ++l) {
+        const auto &st = machine.net().linkStats(l);
         if (st.mbeDetected == 0)
             continue;
-        const Link &link = system.topo().links()[l];
+        const Link &link = links[l];
         node_errors[link.a / kTspsPerNode] += st.mbeDetected;
         node_errors[link.b / kTspsPerNode] += st.mbeDetected;
     }
@@ -107,7 +105,7 @@ Runtime::attempt(const WorkBuilder &work, const FaultScenario &fault,
             lastSuspectNode_ = n;
         }
     }
-    return system.criticalErrors();
+    return machine.criticalErrors();
 }
 
 void
@@ -129,10 +127,12 @@ Runtime::runInference(const WorkBuilder &work, const FaultScenario &fault,
     for (unsigned a = 0; a < max_attempts; ++a) {
         ++report.attempts;
         Tick completion = kTickInvalid;
-        const std::uint64_t mbes =
-            attempt(work, fault, fault_active, completion);
-        report.mbesObserved += mbes;
-        if (mbes == 0) {
+        const auto mbes =
+            attempt(work, fault, fault_active, completion, &report.error);
+        if (!mbes)
+            return report;
+        report.mbesObserved += *mbes;
+        if (*mbes == 0) {
             report.success = true;
             report.completion = completion;
             return report;

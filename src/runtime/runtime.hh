@@ -16,10 +16,12 @@
 #define TSM_RUNTIME_RUNTIME_HH
 
 #include <functional>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "runtime/system.hh"
-#include "ssn/scheduler.hh"
+#include "net/topology.hh"
+#include "ssn/transfer.hh"
 
 namespace tsm {
 
@@ -56,6 +58,9 @@ struct RunReport
 
     /** Completion tick of the successful attempt. */
     Tick completion = kTickInvalid;
+
+    /** Why the work did not compile (empty when it did). */
+    std::string error;
 };
 
 /**
@@ -93,7 +98,9 @@ class Runtime
 
     /**
      * Execute one inference with up to `max_attempts` tries,
-     * applying the fault scenario.
+     * applying the fault scenario. Work that does not compile (a
+     * transfer to self, an endpoint outside the topology or out of
+     * service) fails with the diagnosis in RunReport::error.
      */
     RunReport runInference(const WorkBuilder &work,
                            const FaultScenario &fault = {},
@@ -103,10 +110,14 @@ class Runtime
     bool spareUsed() const { return spareUsed_; }
 
   private:
-    /** One attempt; returns MBE count (0 = clean). */
-    std::uint64_t attempt(const WorkBuilder &work,
-                          const FaultScenario &fault, bool fault_active,
-                          Tick &completion);
+    /**
+     * One attempt; returns the MBE count (0 = clean), or nullopt with
+     * the compile diagnosis in `*error`.
+     */
+    std::optional<std::uint64_t> attempt(const WorkBuilder &work,
+                                         const FaultScenario &fault,
+                                         bool fault_active, Tick &completion,
+                                         std::string *error);
 
     /** Mark `node` failed and bring the spare into service. */
     void swapSpare(unsigned node);

@@ -1,6 +1,5 @@
 tsm_module(runtime
     counterfactual.cc
-    system.cc
     runtime.cc
     global_memory.cc
     machine.cc

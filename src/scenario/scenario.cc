@@ -666,6 +666,16 @@ checkScenario(const Scenario &scenario, Topology &topo,
     return true;
 }
 
+/** True when at least one of `t`'s links is in service. */
+bool
+inService(const Topology &topo, TspId t)
+{
+    for (const LinkId l : topo.linksAt(t))
+        if (topo.linkEnabled(l))
+            return true;
+    return false;
+}
+
 } // namespace
 
 std::optional<CompiledScenario>
@@ -685,7 +695,8 @@ compileScenario(const Scenario &scenario, std::string *error)
 std::optional<CompiledScenario>
 compileTransfers(Topology topo, std::vector<TensorTransfer> transfers,
                  SsnConfig ssn, std::string *error,
-                 const std::unordered_map<FlowId, LocalAddr> &dstBase)
+                 const std::unordered_map<FlowId, LocalAddr> &dstBase,
+                 const std::unordered_map<FlowId, LocalAddr> &srcBase)
 {
     CompiledScenario out;
     out.topo = std::move(topo);
@@ -701,6 +712,14 @@ compileTransfers(Topology topo, std::vector<TensorTransfer> transfers,
                             std::to_string(n) + "-TSP topology");
             return std::nullopt;
         }
+        for (const TspId end : {t.src, t.dst})
+            if (!inService(out.topo, end)) {
+                fail(error, "flow " + std::to_string(t.flow) +
+                                " has an endpoint, chip " +
+                                std::to_string(end) +
+                                ", with no link in service");
+                return std::nullopt;
+            }
         if (auto [it, fresh] = seen.try_emplace(t.flow, i); !fresh) {
             fail(error, "flow id " + std::to_string(t.flow) +
                             " is used twice (transfers " +
@@ -722,7 +741,7 @@ compileTransfers(Topology topo, std::vector<TensorTransfer> transfers,
     // schedulable transfer set can still oversubscribe a chip's
     // forwarding capacity: a diagnosis here, not a simulator panic.
     std::string capacity;
-    if (!tryBuildPrograms(out.schedule, out.topo, dstBase, {},
+    if (!tryBuildPrograms(out.schedule, out.topo, dstBase, srcBase,
                           out.programs, &capacity)) {
         fail(error, "traffic oversubscribes the machine (" + capacity +
                         ") — reduce vectors, spread start cycles, or "

@@ -217,15 +217,16 @@ std::optional<CompiledScenario> compileScenario(const Scenario &scenario,
 /**
  * Compile a hand-built transfer list on `topo` under `ssn`; every
  * transfer is foreground. Destination chips deposit flow f at
- * `dstBase[f]` when given. Fails with a diagnosis on an endpoint
- * outside the topology, a transfer to self, a flow id used twice, a
- * schedule that fails checkSchedule, or traffic the chips cannot
- * buffer.
+ * `dstBase[f]` and source chips read it from `srcBase[f]` when given.
+ * Fails with a diagnosis on an endpoint outside the topology or out
+ * of service, a transfer to self, a flow id used twice, a schedule
+ * that fails checkSchedule, or traffic the chips cannot buffer.
  */
 std::optional<CompiledScenario> compileTransfers(
     Topology topo, std::vector<TensorTransfer> transfers,
     SsnConfig ssn = {}, std::string *error = nullptr,
-    const std::unordered_map<FlowId, LocalAddr> &dstBase = {});
+    const std::unordered_map<FlowId, LocalAddr> &dstBase = {},
+    const std::unordered_map<FlowId, LocalAddr> &srcBase = {});
 
 /**
  * The check every compile runs on the schedule it built:

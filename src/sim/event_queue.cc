@@ -62,12 +62,13 @@ EventQueue::dispatchNext()
 }
 
 std::uint64_t
-EventQueue::run(std::uint64_t limit)
+EventQueue::run(std::uint64_t limit, Tick until)
 {
     std::uint64_t executed = 0;
     if (hostprof_)
         hostprof_->runBegin(now_, heap_.size());
-    for (; !heap_.empty() && executed < limit; ++executed)
+    for (; !heap_.empty() && executed < limit && heap_.front().when <= until;
+         ++executed)
         dispatchNext();
     if (hostprof_)
         hostprof_->runEnd(now_, heap_.size());

@@ -72,10 +72,13 @@ class EventQueue
                        EventKind kind = EventKind::Generic);
 
     /**
-     * Run events until the queue drains or `limit` events have executed.
+     * Run events until the queue drains, `limit` events have executed
+     * or the next event is later than `until`. now() stays at the last
+     * event run.
      * @return number of events executed.
      */
-    std::uint64_t run(std::uint64_t limit = ~std::uint64_t(0));
+    std::uint64_t run(std::uint64_t limit = ~std::uint64_t(0),
+                      Tick until = kTickInvalid);
 
     /**
      * Run events with timestamp <= `until`. Afterwards now() == until

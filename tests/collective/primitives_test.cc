@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "collective/primitives.hh"
 #include "runtime/global_memory.hh"
 
@@ -63,16 +61,8 @@ TEST(Primitives, CompletionScalesWithTensorSize)
  */
 TEST(NumericAllReduce, ChipsComputeCorrectGlobalSum)
 {
-    const Topology topo = Topology::makeNode();
-    EventQueue eq;
-    Network net(topo, eq, Rng(11));
-    std::vector<std::unique_ptr<TspChip>> owned;
-    std::vector<TspChip *> chips;
-    for (TspId t = 0; t < topo.numTsps(); ++t) {
-        owned.push_back(std::make_unique<TspChip>(t, net, DriftClock()));
-        chips.push_back(owned.back().get());
-    }
-    GlobalMemory gm(topo, chips);
+    Machine machine(SystemConfig{}); // one node of 8 TSPs
+    GlobalMemory gm(machine);
 
     // Each device's contribution lives at word 0: Vec(i + 1).
     for (TspId d = 0; d < 8; ++d) {
@@ -99,7 +89,7 @@ TEST(NumericAllReduce, ChipsComputeCorrectGlobalSum)
         }
     }
     auto compiled = gm.compile(pushes);
-    ASSERT_TRUE(validateSchedule(compiled.schedule, topo).ok);
+    ASSERT_TRUE(validateSchedule(compiled.schedule, machine.topo()).ok);
 
     // Append the reduction to each chip's program: accumulate own
     // contribution plus the 7 received ones into word 200. Appended
@@ -122,16 +112,14 @@ TEST(NumericAllReduce, ChipsComputeCorrectGlobalSum)
             add.srcB = 3;
         }
         p.emitWrite(2, LocalAddr::unflatten(200));
-        p.emitHalt();
-        chips[d]->load(std::move(p));
-        chips[d]->start(0);
     }
-    eq.run();
+    machine.launch(std::move(compiled.programs.byChip), 0);
+    machine.eventq().run();
 
     // Sum of 1..8 = 36 in every lane on every chip.
     for (TspId d = 0; d < 8; ++d) {
         const VecPtr result =
-            chips[d]->mem().read(LocalAddr::unflatten(200));
+            machine.chip(d).mem().read(LocalAddr::unflatten(200));
         ASSERT_TRUE(result) << "chip " << d;
         EXPECT_EQ((*result)[0], 36.0f) << "chip " << d;
         EXPECT_EQ((*result)[319], 36.0f) << "chip " << d;

@@ -6,7 +6,7 @@
 
 #include "hostprof/alloc_hook.hh"
 #include "hostprof/hostprof.hh"
-#include "runtime/system.hh"
+#include "runtime/machine.hh"
 #include "sim/event_queue.hh"
 
 namespace tsm {
@@ -252,7 +252,7 @@ TEST(HostProfiler, SteadyStateSyncEventsDoNotAllocate)
     cfg.numTsps = 16;
     cfg.driftPpmSigma = 50.0;
     cfg.jitter = true;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
     // The first window pulls the power-up phases into line; the second
     // runs aligned, at the backlog every later window repeats.
     sys.synchronize(100 * kPsPerUs);

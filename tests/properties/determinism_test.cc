@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "collective/allreduce.hh"
-#include "runtime/system.hh"
+#include "runtime/machine.hh"
 #include "ssn/scheduler.hh"
 #include "trace/digest.hh"
 
@@ -29,7 +29,7 @@ bringupDigest(std::uint64_t seed)
     cfg.errors = {.sbePerVector = 0.01, .mbePerVector = 0.001};
     cfg.seed = seed;
     DigestSink digest;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
     sys.tracer().addSink(&digest);
     sys.synchronize(2 * kPsPerMs);
     EXPECT_GT(digest.events(), 0u);
@@ -51,7 +51,7 @@ allReduceDigest(std::uint64_t seed)
     cfg.errors = {.mbePerVector = 0.02};
     cfg.seed = seed;
     DigestSink digest;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
     sys.tracer().addSink(&digest);
 
     HierarchicalAllReduce ar(sys.topo());
@@ -69,7 +69,7 @@ allReduceDigest(std::uint64_t seed)
     auto programs = buildPrograms(schedule, sys.topo(), dst);
     for (TspId t = 0; t < sys.numTsps(); ++t)
         sys.chip(t).setStream(0, makeVec(Vec(1.0f)));
-    sys.launchRaw(std::move(programs.byChip), 0);
+    sys.launch(std::move(programs.byChip), 0);
     EXPECT_TRUE(sys.runToCompletion());
     EXPECT_GT(digest.events(), 0u);
     return digest.digest();

@@ -4,7 +4,7 @@
 
 #include "arch/chip.hh"
 #include "collective/allreduce.hh"
-#include "runtime/system.hh"
+#include "runtime/machine.hh"
 #include "ssn/scheduler.hh"
 #include "sync/sync_tree.hh"
 
@@ -20,7 +20,7 @@ TEST(GoldenRun, FullSystemByteIdenticalAcrossRuns)
         cfg.driftPpmSigma = 25.0;
         cfg.jitter = true;
         cfg.seed = seed;
-        TsmSystem sys(cfg);
+        Machine sys(cfg);
         const int residual = sys.synchronize(2 * kPsPerMs);
         std::vector<Program> payloads(16);
         for (auto &p : payloads) {

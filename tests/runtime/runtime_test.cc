@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/runtime.hh"
-#include "runtime/system.hh"
+#include "runtime/machine.hh"
 
 namespace tsm {
 namespace {
@@ -22,30 +22,30 @@ ringWork(const Topology &, const std::vector<TspId> &active)
     return out;
 }
 
-TEST(TsmSystem, BuildsBySize)
+TEST(MachineBringup, BuildsBySize)
 {
     SystemConfig cfg;
     cfg.numTsps = 16;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
     EXPECT_EQ(sys.numTsps(), 16u);
     EXPECT_TRUE(sys.topo().connected());
 }
 
-TEST(TsmSystem, SynchronizeAlignsDriftingChips)
+TEST(MachineBringup, SynchronizeAlignsDriftingChips)
 {
     SystemConfig cfg;
     cfg.numTsps = 8;
     cfg.driftPpmSigma = 30.0;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
     const int residual = sys.synchronize();
     EXPECT_LE(residual, 2);
 }
 
-TEST(TsmSystem, AlignedLaunchRunsToCompletion)
+TEST(MachineBringup, AlignedLaunchRunsToCompletion)
 {
     SystemConfig cfg;
     cfg.numTsps = 8;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
     std::vector<Program> payloads(8);
     for (auto &p : payloads)
         p.emitCompute(1000);
@@ -60,13 +60,13 @@ TEST(TsmSystem, AlignedLaunchRunsToCompletion)
                   h0);
 }
 
-TEST(TsmSystem, CleanRunHasNoCriticalErrors)
+TEST(MachineBringup, CleanRunHasNoCriticalErrors)
 {
     SystemConfig cfg;
     cfg.numTsps = 8;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
     std::vector<Program> payloads(8);
-    sys.launchRaw(std::move(payloads), 0);
+    sys.launch(std::move(payloads), 0);
     EXPECT_TRUE(sys.runToCompletion());
     EXPECT_EQ(sys.criticalErrors(), 0u);
 }
@@ -138,6 +138,53 @@ TEST(Runtime, SystemRemainsConnectedAfterFailover)
     const auto again = rt.runInference(ringWork);
     EXPECT_TRUE(again.success);
     EXPECT_EQ(again.attempts, 1u);
+}
+
+/** The diagnosis of `ringWork` plus one transfer `src` -> `dst`. */
+std::string
+diagnosis(Runtime &rt, TspId src, TspId dst)
+{
+    const auto report = rt.runInference(
+        [&](const Topology &topo, const std::vector<TspId> &active) {
+            auto out = ringWork(topo, active);
+            out.push_back(out.front());
+            out.back().flow = FlowId(out.size());
+            out.back().src = src;
+            out.back().dst = dst;
+            return out;
+        });
+    EXPECT_FALSE(report.success);
+    EXPECT_EQ(report.attempts, 1u);
+    return report.error;
+}
+
+TEST(Runtime, TransferToSelfIsADiagnosis)
+{
+    Runtime rt(4);
+    EXPECT_NE(diagnosis(rt, 3, 3).find("from chip 3 to chip 3"),
+              std::string::npos);
+}
+
+TEST(Runtime, EndpointOutsideTheTopologyIsADiagnosis)
+{
+    Runtime rt(4);
+    EXPECT_NE(diagnosis(rt, 0, 32).find("32-TSP topology"),
+              std::string::npos);
+}
+
+TEST(Runtime, EndpointOutOfServiceIsADiagnosis)
+{
+    // Node 1 fails and is swapped out; work still aimed at its TSPs
+    // has no path.
+    Runtime rt(4, 43);
+    FaultScenario fault;
+    fault.faultyNode = 1;
+    fault.mbeRate = 1.0;
+    fault.persistent = true;
+    ASSERT_TRUE(rt.runInference(ringWork, fault, 4).spareSwapped);
+    EXPECT_NE(diagnosis(rt, 0, 8).find("chip 8, with no link in service"),
+              std::string::npos);
+    EXPECT_TRUE(rt.runInference(ringWork).error.empty());
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "runtime/runtime.hh"
-#include "runtime/system.hh"
+#include "runtime/machine.hh"
 #include "sync/program_alignment.hh"
 
 namespace tsm {
@@ -52,13 +52,15 @@ TEST(RuntimeEdge, DeadlineAbortsWedgedRun)
     // runToCompletion deadline rather than hanging.
     SystemConfig cfg;
     cfg.numTsps = 8;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
     std::vector<Program> payloads(8);
     auto &poll = payloads[0].emit(Op::PollRecv);
     poll.port = 0;
     poll.dst = 1;
-    sys.launchRaw(std::move(payloads), 0);
-    EXPECT_FALSE(sys.runToCompletion(10 * kPsPerUs));
+    sys.launch(std::move(payloads), 0);
+    const Tick deadline = 10 * kPsPerUs;
+    EXPECT_FALSE(sys.runToCompletion(deadline));
+    EXPECT_LE(sys.eventq().now(), deadline);
 }
 
 TEST(RuntimeEdge, AlignedLaunchOnTripleRingMultiHopTree)
@@ -68,8 +70,7 @@ TEST(RuntimeEdge, AlignedLaunchOnTripleRingMultiHopTree)
     // epoch through the multi-hop token relay.
     SystemConfig cfg;
     cfg.numTsps = 8;
-    cfg.wiring = NodeWiring::TripleRing;
-    TsmSystem sys(cfg, Topology::makeNode(NodeWiring::TripleRing));
+    Machine sys(cfg, Topology::makeNode(NodeWiring::TripleRing));
     const SyncTree tree = SyncTree::build(sys.topo(), 0);
     EXPECT_GE(tree.height(), 2u);
 
@@ -113,17 +114,17 @@ TEST(RuntimeEdge, SystemWithErrorsCountsThem)
     SystemConfig cfg;
     cfg.numTsps = 8;
     cfg.errors.mbePerVector = 1.0;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
     // One raw transfer: the MBE is detected and counted.
-    SsnScheduler scheduler(sys.topo());
     TensorTransfer t;
     t.flow = 1;
     t.src = 0;
     t.dst = 1;
     t.vectors = 3;
-    auto programs = buildPrograms(scheduler.schedule({t}), sys.topo());
+    auto compiled = compileTransfers(sys.topo(), {t});
+    ASSERT_TRUE(compiled);
     sys.chip(0).setStream(0, makeVec(Vec(1.0f)));
-    sys.launchRaw(std::move(programs.byChip), 0);
+    sys.launch(std::move(compiled->programs.byChip), 0);
     ASSERT_TRUE(sys.runToCompletion());
     EXPECT_GE(sys.criticalErrors(), 3u);
 }

@@ -8,7 +8,7 @@
  * kind) sequence and leave both queues in the same state after every
  * step.
  *
- * A 16-TSP drifting, jittered TsmSystem::synchronize is also pinned
+ * A 16-TSP drifting, jittered Machine::synchronize is also pinned
  * by its full-category timeline digest: the checked-in scenarios never
  * run HAC alignment, so this is the one pin on that event path.
  */
@@ -23,7 +23,7 @@
 #include "common/rng.hh"
 #include "hostprof/hostprof.hh"
 #include "reference_event_queue.hh"
-#include "runtime/system.hh"
+#include "runtime/machine.hh"
 #include "sim/event_queue.hh"
 #include "trace/digest.hh"
 
@@ -239,7 +239,7 @@ TEST(EventQueueDifferential, DriftingSynchronizeDigestIsPinned)
     cfg.jitter = true;
     cfg.seed = 1;
     DigestSink digest;
-    TsmSystem sys(cfg);
+    Machine sys(cfg);
     sys.tracer().addSink(&digest);
     const int residual = sys.synchronize(100 * kPsPerUs);
 
