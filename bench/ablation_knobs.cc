@@ -74,7 +74,7 @@ hacRateAblation(HostProfiler *hp)
         // Step epoch by epoch until converged.
         unsigned epochs = 0;
         const Tick epoch_ps = Tick(kHacPeriodCycles * kCorePeriodPs);
-        while (!aligner.converged(2) && epochs < 1000) {
+        while (!aligner.converged() && epochs < 1000) {
             eq.runUntil(eq.now() + epoch_ps);
             ++epochs;
         }

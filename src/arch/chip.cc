@@ -34,10 +34,9 @@ TspChip::TspChip(TspId id, Network &net, DriftClock clock)
 }
 
 unsigned
-TspChip::hac() const
+TspChip::hacAt(Cycle c) const
 {
-    return unsigned(
-        posMod(std::int64_t(localCycle()) + hacOffset_, kHacPeriodCycles));
+    return unsigned(posMod(std::int64_t(c) + hacOffset_, kHacPeriodCycles));
 }
 
 unsigned
@@ -69,10 +68,8 @@ Tick
 TspChip::nextEpochStart(Tick t) const
 {
     // Find the first cycle boundary >= t whose HAC phase is zero.
-    Cycle c = clock_.tickToCycle(t);
-    if (clock_.cycleToTick(c) < t)
-        ++c;
-    const auto phase = posMod(std::int64_t(c) + hacOffset_, kHacPeriodCycles);
+    const Cycle c = clock_.cycleAtOrAfter(t);
+    const unsigned phase = hacAt(c);
     const Cycle wait = phase == 0 ? 0 : Cycle(kHacPeriodCycles - phase);
     return clock_.cycleToTick(c + wait);
 }
@@ -106,8 +103,12 @@ TspChip::start(Tick at)
 void
 TspChip::scheduleIssue(Tick t)
 {
-    eventq().schedule(t, [this] { issue(); }, kSpanNone,
-                      EventKind::ChipIssue);
+    eventq().post(
+        t,
+        [](void *chip, std::uint64_t) {
+            static_cast<TspChip *>(chip)->issue();
+        },
+        this, 0, kSpanNone, EventKind::ChipIssue);
 }
 
 void
@@ -240,8 +241,9 @@ TspChip::consumeRx(const Instr &i)
 Tick
 TspChip::execute(const Instr &i)
 {
-    const auto cycles_hence = [this](Cycle n) {
-        return clock_.cycleToTick(localCycle() + n);
+    const Cycle local = localCycle();
+    const auto cycles_hence = [this, local](Cycle n) {
+        return clock_.cycleToTick(local + n);
     };
     Tick next = cycles_hence(1);
 
@@ -407,8 +409,7 @@ TspChip::execute(const Instr &i)
 
       case Op::Deskew: {
         const Tick epoch = nextEpochStart(now());
-        stats_.deskewStallCycles +=
-            clock_.tickToCycle(epoch) - localCycle();
+        stats_.deskewStallCycles += clock_.tickToCycle(epoch) - local;
         next = std::max(epoch, cycles_hence(0));
         if (next <= now())
             next = now();

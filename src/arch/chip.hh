@@ -80,7 +80,10 @@ class TspChip : public SimObject, public FlitSink
     /// @{
 
     /** Current HAC value in [0, 252). */
-    unsigned hac() const;
+    unsigned hac() const { return hacAt(localCycle()); }
+
+    /** HAC value at local cycle `c`, with the current adjustment. */
+    unsigned hacAt(Cycle c) const;
 
     /** Current SAC value in [0, 252). */
     unsigned sac() const;

@@ -14,7 +14,7 @@
  *    sums to total wall time by construction;
  *  - event-queue telemetry: insert count, depth high-water mark,
  *    batch-insertion stats (events scheduled per dispatch), and a
- *    strided sample of raw heap-insert cost;
+ *    strided sample of raw queue-insert cost;
  *  - allocations on the event path (hostprof/alloc_hook.hh), armed
  *    only while a callback runs;
  *  - sim-rate over fixed wall-clock windows: events/sec, simulated
@@ -83,10 +83,10 @@ struct HostQueueStats
     /** Largest number of inserts from a single dispatch. */
     std::uint64_t maxBatch = 0;
 
-    /** Inserts whose raw heap-push cost was timed (1 in 64). */
+    /** Inserts whose raw queue-insert cost was timed (1 in 64). */
     std::uint64_t sampledInserts = 0;
 
-    /** Total wall-ns of the sampled heap pushes. */
+    /** Total wall-ns of the sampled queue inserts. */
     std::uint64_t sampledInsertNs = 0;
 };
 
@@ -135,7 +135,7 @@ class HostProfiler : public Observer
     /** The callback returned; the queue holds `depth` events. */
     void dispatchEnd(EventKind kind, Tick simNow, std::size_t depth);
 
-    /** True when the next insert's heap push should be timed. */
+    /** True when the next queue insert should be timed. */
     bool insertSampleBegin();
 
     /** An event was pushed; the queue holds `depth` events. */

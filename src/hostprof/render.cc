@@ -165,7 +165,7 @@ renderHostprof(const Json &doc, unsigned topK)
         humanCount(q["batches"].number()),
         Table::num(q["max_batch"].number(), 0));
     if (q["sampled_inserts"].number() > 0)
-        out += format(", sampled heap push {} ns",
+        out += format(", sampled queue insert {} ns",
                       Table::num(q["sampled_insert_ns"].number() /
                                      q["sampled_inserts"].number(),
                                  0));

@@ -176,8 +176,12 @@ Network::deliver(const Link &link, TspId src, LinkId l, Flit flit,
         freeInFlight_ = inFlight_[idx].nextFree;
     }
     inFlight_[idx] = {{std::move(flit), arrival, l}, dst, link.portAt(dst)};
-    eventq_->schedule(
-        arrival, [this, idx] { arrive(idx); }, span, EventKind::NetDeliver);
+    eventq_->post(
+        arrival,
+        [](void *net, std::uint64_t i) {
+            static_cast<Network *>(net)->arrive(std::uint32_t(i));
+        },
+        this, idx, span, EventKind::NetDeliver);
 }
 
 void

@@ -10,7 +10,7 @@ namespace tsm {
 HacAligner::HacAligner(TspChip &parent, TspChip &child, LinkId link,
                        double latency_cycles, HacAlignerConfig config)
     : parent_(parent), child_(child), link_(link),
-      latencyCycles_(latency_cycles), config_(config)
+      latencyCycles_(std::lround(latency_cycles)), config_(config)
 {
     const Link &l = parent.network().topo().links()[link];
     TSM_ASSERT((l.a == parent.id() && l.b == child.id()) ||
@@ -44,10 +44,14 @@ HacAligner::sendUpdate()
     // to the parent-side hac_tx that caused it.
     const SpanId round_span =
         transferSpan(kFlowHacExchange, std::uint32_t(rounds_++));
+    // One read of the parent's clock serves the HAC value sent and the
+    // next round's tick.
+    const Cycle local = parent_.localCycle();
+    const unsigned hac = parent_.hacAt(local);
     Flit update;
     update.flow = kFlowHacExchange;
     update.seq = 2; // alignment update (probes use 0/1)
-    update.meta = parent_.hac();
+    update.meta = hac;
     update.span = round_span;
     parent_.network().controlTransmit(parent_.id(), link_,
                                       std::move(update));
@@ -55,12 +59,13 @@ HacAligner::sendUpdate()
     EventQueue &eq = parent_.network().eventq();
     if (eq.tracer().wants(TraceCat::Sync))
         eq.tracer().emit({eq.now(), 0, TraceCat::Sync, TraceOp::HacTx,
-                          parent_.id(), std::int64_t(parent_.hac()),
+                          parent_.id(), std::int64_t(hac),
                           std::int64_t(child_.id()), round_span});
-    const Tick next = parent_.clock().cycleToTick(
-        parent_.localCycle() + config_.updatePeriodCycles);
-    eq.schedule(next, [this] { sendUpdate(); }, kSpanNone,
-                EventKind::HacUpdate);
+    eq.post(parent_.clock().cycleToTick(local + config_.updatePeriodCycles),
+            [](void *aligner, std::uint64_t) {
+                static_cast<HacAligner *>(aligner)->sendUpdate();
+            },
+            this, 0, kSpanNone, EventKind::HacUpdate);
 }
 
 void
@@ -71,8 +76,7 @@ HacAligner::childHandler(const ArrivedFlit &af)
     // Expected child HAC if perfectly aligned: parent's transmitted
     // value advanced by the link flight time.
     const long expected =
-        (long(af.flit.meta) + long(std::llround(latencyCycles_))) %
-        long(kHacPeriodCycles);
+        (long(af.flit.meta) + latencyCycles_) % long(kHacPeriodCycles);
     long diff = expected - long(child_.hac());
     // Map to signed [-period/2, period/2).
     diff %= long(kHacPeriodCycles);
@@ -83,7 +87,7 @@ HacAligner::childHandler(const ArrivedFlit &af)
 
     lastDelta_ = int(diff);
     deltaMag_.add(std::abs(double(diff)));
-    if (std::abs(diff) <= convergedTol_)
+    if (std::abs(diff) <= kHacConvergedTolCycles)
         ++consecutiveSmall_;
     else
         consecutiveSmall_ = 0;
@@ -103,13 +107,9 @@ HacAligner::childHandler(const ArrivedFlit &af)
 }
 
 bool
-HacAligner::converged(int tol, unsigned window) const
+HacAligner::converged(unsigned window) const
 {
-    // convergedTol_ is fixed at construction default (2); treat a
-    // different requested tol conservatively via lastDelta_.
-    if (tol == convergedTol_)
-        return consecutiveSmall_ >= window;
-    return updates_ >= window && std::abs(lastDelta_) <= tol;
+    return consecutiveSmall_ >= window;
 }
 
 } // namespace tsm

@@ -20,6 +20,12 @@
 
 namespace tsm {
 
+/**
+ * An aligner has converged once this many cycles bound each of its
+ * last few observed deltas: the link jitter's reach (paper §3.1).
+ */
+inline constexpr int kHacConvergedTolCycles = 2;
+
 /** Configuration of the alignment control loop. */
 struct HacAlignerConfig
 {
@@ -67,9 +73,9 @@ class HacAligner
 
     /**
      * True once the last `window` observed deltas were all within
-     * `tol` cycles.
+     * kHacConvergedTolCycles.
      */
-    bool converged(int tol = 2, unsigned window = 4) const;
+    bool converged(unsigned window = 4) const;
 
   private:
     void sendUpdate();
@@ -79,13 +85,13 @@ class HacAligner
     TspChip &child_;
     LinkId link_;
     unsigned childPort_;
-    double latencyCycles_;
+    /** The characterized latency, rounded once to whole cycles. */
+    long latencyCycles_;
     HacAlignerConfig config_;
     bool active_ = false;
 
     int lastDelta_ = 0;
     unsigned consecutiveSmall_ = 0;
-    int convergedTol_ = 2;
     std::uint64_t updates_ = 0;
     std::uint32_t rounds_ = 0; ///< update rounds sent (span sequence)
     Accumulator deltaMag_;

@@ -39,9 +39,13 @@ LinkCharacterizer::start(unsigned iterations)
     remaining_ = iterations;
     // Begin after a short warmup so both chips' clocks are past their
     // power-up phase offsets (the HAC reads 0 before its first edge).
-    origin_.network().eventq().scheduleAfter(
-        kPsPerUs, [this] { sendProbe(); }, kSpanNone,
-        EventKind::SyncProbe);
+    EventQueue &eq = origin_.network().eventq();
+    eq.post(
+        eq.now() + kPsPerUs,
+        [](void *lc, std::uint64_t) {
+            static_cast<LinkCharacterizer *>(lc)->sendProbe();
+        },
+        this, 0, kSpanNone, EventKind::SyncProbe);
 }
 
 void

@@ -88,10 +88,10 @@ SystemSynchronizer::stop()
 }
 
 bool
-SystemSynchronizer::allConverged(int tol) const
+SystemSynchronizer::allConverged() const
 {
     return std::all_of(aligners_.begin(), aligners_.end(),
-                       [tol](const auto &a) { return a->converged(tol); });
+                       [](const auto &a) { return a->converged(); });
 }
 
 int

@@ -80,7 +80,7 @@ class SystemSynchronizer
     void stop();
 
     /** True once every edge's aligner reports convergence. */
-    bool allConverged(int tol = 2) const;
+    bool allConverged() const;
 
     /** Worst current per-edge misalignment magnitude in cycles. */
     int worstDelta() const;

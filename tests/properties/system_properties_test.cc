@@ -120,7 +120,7 @@ TEST_P(RateSweep, ConvergesFromLargeOffset)
                      kCorePeriodPs));
     aligner.stop();
     eq.run();
-    EXPECT_TRUE(aligner.converged(2))
+    EXPECT_TRUE(aligner.converged())
         << "rate " << rate << " delta " << aligner.lastDelta();
     // Updates needed scales inversely with the rate.
     EXPECT_GE(aligner.updatesApplied(), std::uint64_t(120 / rate));

@@ -2,11 +2,14 @@
  * @file
  * Differential test of the event kernel: the library's EventQueue
  * against the old std::priority_queue implementation kept in
- * reference_event_queue.*. Seeded random programs (same-tick bursts,
- * callbacks that schedule at now() and later, runUntil boundaries,
- * run(limit), reset()) must dispatch the identical (tick, seq, span,
- * kind) sequence and leave both queues in the same state after every
- * step.
+ * reference_event_queue.*. Seeded random programs (typed post() events
+ * mixed with std::function callbacks; same-tick bursts up to 2,560
+ * events; delays within a bucket, across buckets and past the
+ * calendar's horizon; handlers that schedule at now() and later;
+ * runUntil boundaries mid-bucket followed by schedules before the next
+ * pending event; run(limit); reset() with events both in the ring and
+ * beyond it) must dispatch the identical (tick, seq, span, kind)
+ * sequence and leave both queues in the same state after every step.
  *
  * A 16-TSP drifting, jittered Machine::synchronize is also pinned
  * by its full-category timeline digest: the checked-in scenarios never
@@ -18,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "common/rng.hh"
@@ -78,12 +82,44 @@ struct Outcome
     std::array<std::uint64_t, kNumEventKinds> kindEvents{};
     std::uint64_t payloadErrors = 0;
     std::uint64_t resets = 0;
+
+    /// @name Calendar edges the program reached
+    /// @{
+    std::uint64_t typed = 0;       ///< post() events
+    std::uint64_t callbacks = 0;   ///< schedule() events
+    std::uint64_t beyond = 0;      ///< scheduled past the ring's horizon
+    std::uint64_t bigBursts = 0;   ///< same-tick bursts of >= 2,048
+    std::uint64_t belowNext = 0;   ///< runUntil stopped mid-bucket, then
+                                   ///< a schedule before the next event
+    std::uint64_t mixedResets = 0; ///< reset() with ring and far events
+    /// @}
 };
+
+/** The calendar's geometry, which the programs aim at. */
+constexpr Tick kBucket = EventQueue::kBucketPs;
+constexpr Tick kHorizon = kBucket * EventQueue::kCalendarBuckets;
+
+/** Schedule a typed event: post() here, a std::function in the oracle. */
+void
+post(EventQueue &eq, Tick when, EventQueue::Thunk fn, void *ctx,
+     std::uint64_t arg, SpanId span, EventKind kind)
+{
+    eq.post(when, fn, ctx, arg, span, kind);
+}
+
+void
+post(reference::EventQueue &eq, Tick when, EventQueue::Thunk fn, void *ctx,
+     std::uint64_t arg, SpanId span, EventKind kind)
+{
+    eq.schedule(when, [fn, ctx, arg] { fn(ctx, arg); }, span, kind);
+}
 
 /**
  * A seeded random program driving queue type `Q`. Callbacks and the
  * driver draw from one Rng, so two queues that dispatch identically
- * also run identical programs.
+ * also run identical programs. Delays span the same tick, the same
+ * bucket, neighbouring buckets and past the ring's horizon; events mix
+ * typed post() records with std::function callbacks.
  */
 template <class Q>
 class Program
@@ -122,89 +158,153 @@ class Program
     using Payload = std::array<std::uint64_t, 8>;
 
     void
+    record()
+    {
+        out_.steps.push_back({0, eq_.now(), eq_.pending()});
+    }
+
+    /** A delay at one of the calendar's scales. */
+    Tick
+    delay()
+    {
+        const std::uint64_t r = rng_.below(20);
+        if (r < 8)
+            return Tick(rng_.below(4)); // same tick or bucket
+        if (r < 14)
+            return Tick(rng_.below(200));
+        if (r < 18)
+            return Tick(rng_.below(4 * kBucket)); // neighbouring buckets
+        return Tick(rng_.below(3 * kHorizon));  // often past the horizon
+    }
+
+    void
     step()
     {
-        const std::uint64_t op = rng_.below(10);
-        if (op < 3) {
+        const std::uint64_t op = rng_.below(20);
+        if (op < 5) {
             // Same-tick burst, at now() or a little later.
             const Tick when = eq_.now() + Tick(rng_.below(3)) * 7;
             const unsigned n = 1 + unsigned(rng_.below(12));
             for (unsigned i = 0; i < n; ++i)
                 spawn(when);
-            out_.steps.push_back({0, eq_.now(), eq_.pending()});
-        } else if (op < 5) {
+            record();
+        } else if (op < 6) {
+            // A burst wide enough to show any per-tick scan.
+            const Tick when = eq_.now() + delay();
+            const unsigned n = 2048 + unsigned(rng_.below(512));
+            for (unsigned i = 0; i < n; ++i)
+                spawn(when, /*children=*/false);
+            ++out_.bigBursts;
+            record();
+        } else if (op < 9) {
             out_.steps.push_back(
                 {eq_.run(1 + rng_.below(40)), eq_.now(), eq_.pending()});
-        } else if (op < 7) {
-            // Boundaries land on populated ticks as often as not.
-            const Tick until = eq_.now() + Tick(rng_.below(60));
+        } else if (op < 13) {
+            // Boundaries land on populated ticks as often as not, and
+            // often mid-bucket; a schedule right after may fall before
+            // the next pending event's bucket.
+            const Tick until = eq_.now() + delay();
             out_.steps.push_back(
                 {eq_.runUntil(until), eq_.now(), eq_.pending()});
-        } else if (op < 9) {
-            spawn(eq_.now() + Tick(rng_.below(100)));
-            out_.steps.push_back({0, eq_.now(), eq_.pending()});
+            if (rng_.chance(0.5)) {
+                const Tick when = eq_.now() + Tick(rng_.below(3));
+                if (!pending_.empty() &&
+                    bucket(*pending_.begin()) > bucket(when))
+                    ++out_.belowNext;
+                spawn(when);
+                record();
+            }
+        } else if (op < 18) {
+            spawn(eq_.now() + delay());
+            record();
         } else if (rng_.chance(0.3)) {
+            std::uint64_t far = 0;
+            for (Tick when : pending_)
+                far += bucket(when) >= bucket(eq_.now()) +
+                                           EventQueue::kCalendarBuckets;
+            if (far > 0 && far < pending_.size())
+                ++out_.mixedResets;
             eq_.reset();
+            pending_.clear();
             ++out_.resets;
-            out_.steps.push_back({0, eq_.now(), eq_.pending()});
+            record();
         }
     }
 
-    /** Schedule one event; its callback may schedule children. */
+    static Tick bucket(Tick when) { return when / kBucket; }
+
+    /** Schedule one event; its handler may schedule children. */
     void
-    spawn(Tick when)
+    spawn(Tick when, bool children = true)
     {
         const SpanId span = SpanId(rng_.below(5));
         const EventKind kind = EventKind(rng_.below(kNumEventKinds));
-        if (rng_.chance(0.25)) {
+        pending_.insert(when);
+        if (bucket(when) >=
+            bucket(eq_.now()) + EventQueue::kCalendarBuckets)
+            ++out_.beyond;
+        const std::uint64_t r = rng_.below(4);
+        if (r < 2) {
+            ++out_.typed;
+            post(
+                eq_, when,
+                [](void *self, std::uint64_t arg) {
+                    static_cast<Program *>(self)->fire(EventKind(arg & 0xff),
+                                                       (arg >> 8) != 0);
+                },
+                this, std::uint64_t(kind) | std::uint64_t(children) << 8,
+                span, kind);
+            return;
+        }
+        ++out_.callbacks;
+        if (r < 3) {
             Payload p;
             for (std::size_t i = 0; i < p.size(); ++i)
                 p[i] = id_ * 31 + i;
             const std::uint64_t id = id_++;
             eq_.schedule(
                 when,
-                [this, p, id, kind] {
+                [this, p, id, kind, children] {
                     for (std::size_t i = 0; i < p.size(); ++i)
                         if (p[i] != id * 31 + i)
                             ++out_.payloadErrors;
-                    fire(kind);
+                    fire(kind, children);
                 },
                 span, kind);
         } else {
             ++id_;
-            eq_.schedule(when, [this, kind] { fire(kind); }, span, kind);
+            eq_.schedule(
+                when, [this, kind, children] { fire(kind, children); }, span,
+                kind);
         }
     }
 
     void
-    fire(EventKind kind)
+    fire(EventKind kind, bool children)
     {
         kinds_.push_back(kind);
-        if (budget_ == 0)
+        pending_.erase(pending_.find(eq_.now()));
+        if (!children || budget_ == 0)
             return;
-        const unsigned children = unsigned(rng_.below(4));
-        for (unsigned c = 0; c < children && budget_ > 0; ++c, --budget_) {
-            const std::uint64_t r = rng_.below(10);
-            if (r < 3)
-                spawn(eq_.now());
-            else if (r < 7)
-                spawn(eq_.now() + Tick(rng_.below(4)));
-            else
-                spawn(eq_.now() + Tick(rng_.below(200)));
-        }
+        const unsigned n = unsigned(rng_.below(4));
+        for (unsigned c = 0; c < n && budget_ > 0; ++c, --budget_)
+            spawn(eq_.now() + delay());
     }
 
     Q eq_;
     Rng rng_;
     Outcome out_;
     std::vector<EventKind> kinds_;
+    /** When each pending event is due. */
+    std::multiset<Tick> pending_;
     std::uint64_t id_ = 0;
     unsigned budget_ = 400;
 };
 
 TEST(EventQueueDifferential, RandomProgramsDispatchIdentically)
 {
-    std::uint64_t dispatches = 0, resets = 0;
+    Outcome total;
+    std::uint64_t dispatches = 0;
     for (std::uint64_t seed = 1; seed <= 500; ++seed) {
         const Outcome want = Program<reference::EventQueue>(seed).run();
         const Outcome got = Program<EventQueue>(seed).run();
@@ -222,11 +322,23 @@ TEST(EventQueueDifferential, RandomProgramsDispatchIdentically)
         EXPECT_EQ(got.payloadErrors, 0u) << "seed " << seed;
         EXPECT_EQ(want.payloadErrors, 0u) << "seed " << seed;
         dispatches += want.dispatches.size();
-        resets += want.resets;
+        total.resets += want.resets;
+        total.typed += want.typed;
+        total.callbacks += want.callbacks;
+        total.beyond += want.beyond;
+        total.bigBursts += want.bigBursts;
+        total.belowNext += want.belowNext;
+        total.mixedResets += want.mixedResets;
     }
-    // The programs really exercise the queue, resets included.
-    EXPECT_GT(dispatches, 100'000u);
-    EXPECT_GT(resets, 10u);
+    // The programs really exercise the queue and each calendar edge.
+    EXPECT_GT(dispatches, 1'000'000u);
+    EXPECT_GT(total.resets, 10u);
+    EXPECT_GT(total.typed, 100'000u);
+    EXPECT_GT(total.callbacks, 100'000u);
+    EXPECT_GT(total.beyond, 1'000u);
+    EXPECT_GT(total.bigBursts, 100u);
+    EXPECT_GT(total.belowNext, 100u);
+    EXPECT_GT(total.mixedResets, 10u);
 }
 
 TEST(EventQueueDifferential, DriftingSynchronizeDigestIsPinned)

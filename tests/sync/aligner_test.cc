@@ -44,7 +44,7 @@ TEST_F(AlignFixture, CorrectsInitialMisalignment)
     // run a few hundred epochs.
     eq.runUntil(Tick(500 * kHacPeriodCycles * kCorePeriodPs));
     aligner.stop();
-    EXPECT_TRUE(aligner.converged(2));
+    EXPECT_TRUE(aligner.converged());
     EXPECT_LE(std::abs(aligner.lastDelta()), 1);
 }
 
@@ -61,6 +61,44 @@ TEST_F(AlignFixture, AdjustmentRateIsClamped)
     aligner.stop();
     eq.run();
     EXPECT_GE(std::abs(aligner.lastDelta()), 100 - 3 * 2 - 1);
+}
+
+TEST_F(AlignFixture, ConvergedNeedsWindowConsecutiveSmallDeltas)
+{
+    // A 100-cycle offset closes by at most 8 cycles per update, so the
+    // deltas cross into the tolerance one update at a time. converged()
+    // must wait for `window` small deltas in a row, not just the last.
+    buildPair(0.0, 0.0);
+    child->adjustHac(100);
+    HacAligner aligner(*parent, *child, link, latency);
+    aligner.start();
+    unsigned small = 0; // consecutive deltas within the tolerance
+    std::uint64_t seen = 0;
+    const auto step = [&] {
+        while (aligner.updatesApplied() == seen)
+            eq.run(1);
+        seen = aligner.updatesApplied();
+        small = std::abs(aligner.lastDelta()) <= kHacConvergedTolCycles
+                    ? small + 1
+                    : 0;
+    };
+    bool sawPartialWindow = false;
+    while (seen < 30) {
+        step();
+        sawPartialWindow = sawPartialWindow || (small > 0 && small < 4);
+        EXPECT_EQ(aligner.converged(), small >= 4) << "update " << seen;
+        EXPECT_EQ(aligner.converged(1), small >= 1) << "update " << seen;
+        EXPECT_EQ(aligner.converged(8), small >= 8) << "update " << seen;
+    }
+    EXPECT_TRUE(sawPartialWindow);
+    EXPECT_TRUE(aligner.converged(8));
+
+    // One large delta restarts the count.
+    child->adjustHac(50);
+    step();
+    EXPECT_EQ(small, 0u);
+    EXPECT_FALSE(aligner.converged(1));
+    aligner.stop();
 }
 
 TEST_F(AlignFixture, TracksContinuousDrift)
@@ -135,7 +173,7 @@ TEST(SystemSyncTest, WholeNodeConvergesFromRandomOffsets)
     eq.runUntil(5 * kPsPerMs);
     sync.stop();
 
-    EXPECT_TRUE(sync.allConverged(2));
+    EXPECT_TRUE(sync.allConverged());
     EXPECT_LE(sync.worstDelta(), 2);
     // Post-alignment epoch skew is within a few cycles; it started
     // off grossly misaligned.
@@ -164,7 +202,7 @@ TEST(SystemSyncTest, MultiHopChainAccumulatesBoundedSkew)
     sync.start();
     eq.runUntil(5 * kPsPerMs);
     sync.stop();
-    EXPECT_TRUE(sync.allConverged(2));
+    EXPECT_TRUE(sync.allConverged());
     EXPECT_LT(sync.epochSkewPs(eq.now()), Tick(6 * kCorePeriodPs));
 }
 
